@@ -3,11 +3,36 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use wrt_circuit::Circuit;
 use wrt_fault::FaultList;
+use wrt_robust::Budget;
 use wrt_sim::{
-    fault_coverage, fault_coverage_opts, fault_coverage_sharded, LogicSim, PatternSource,
-    SimOptions, WeightedPatterns,
+    fault_coverage, fault_coverage_robust, CoverageResult, LogicSim, PatternSource, SimOptions,
+    WeightedPatterns,
 };
+
+/// One unbudgeted, fault-dropping run of the fault-simulation driver.
+fn driver(
+    circuit: &Circuit,
+    faults: &FaultList,
+    patterns: u64,
+    threads: usize,
+    opts: SimOptions,
+) -> CoverageResult {
+    let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
+    fault_coverage_robust(
+        circuit,
+        faults,
+        source,
+        patterns,
+        true,
+        threads,
+        opts,
+        &Budget::unlimited(),
+    )
+    .into_value()
+    .result
+}
 
 fn logic_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("logic_sim");
@@ -51,9 +76,9 @@ fn fault_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs sharded PPSFP on the largest workload circuits: the fault
-/// list is split into cone-locality-aware shards, one worker thread each
-/// (results are bit-identical; only the wall clock changes).
+/// The serial dense reference vs the driver's dense inner loop on 1–8
+/// fault shards, one worker thread each (results are bit-identical; only
+/// the wall clock changes).
 fn sharded_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_fault_sim");
     group.sample_size(10);
@@ -68,13 +93,10 @@ fn sharded_fault_sim(c: &mut Criterion) {
                 black_box(fault_coverage(&circuit, &faults, source, patterns, true))
             });
         });
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             group.bench_function(BenchmarkId::new(format!("sharded{threads}"), name), |b| {
                 b.iter(|| {
-                    let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                    black_box(fault_coverage_sharded(
-                        &circuit, &faults, source, patterns, true, threads,
-                    ))
+                    black_box(driver(&circuit, &faults, patterns, threads, SimOptions::dense()))
                 });
             });
         }
@@ -83,7 +105,8 @@ fn sharded_fault_sim(c: &mut Criterion) {
 }
 
 /// Dense cone walk vs event-driven sparse propagation at each superblock
-/// width (results are bit-identical; only the wall clock changes).
+/// width, both on one driver shard (results are bit-identical; only the
+/// wall clock changes).
 fn event_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_fault_sim");
     group.sample_size(10);
@@ -93,30 +116,12 @@ fn event_fault_sim(c: &mut Criterion) {
         let patterns = 1024u64;
         group.throughput(Throughput::Elements(patterns * faults.len() as u64));
         group.bench_function(BenchmarkId::new("dense", name), |b| {
-            b.iter(|| {
-                let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                black_box(fault_coverage_opts(
-                    &circuit,
-                    &faults,
-                    source,
-                    patterns,
-                    true,
-                    SimOptions::dense(),
-                ))
-            });
+            b.iter(|| black_box(driver(&circuit, &faults, patterns, 1, SimOptions::dense())));
         });
         for words in [1usize, 4, 8] {
             group.bench_function(BenchmarkId::new(format!("event_w{words}"), name), |b| {
                 b.iter(|| {
-                    let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
-                    black_box(fault_coverage_opts(
-                        &circuit,
-                        &faults,
-                        source,
-                        patterns,
-                        true,
-                        SimOptions::event(words),
-                    ))
+                    black_box(driver(&circuit, &faults, patterns, 1, SimOptions::event(words)))
                 });
             });
         }

@@ -21,13 +21,13 @@
 //! * every `"unrecovered"` field (the chaos sweep's silent-result-loss
 //!   counter in `BENCH_robust.json`) must be exactly `0` — an artifact
 //!   recording an unrecovered fail-point injection fails the build;
-//! * in the simulation artifact (recognized by its `eval_reduction_2d`
-//!   fields — only `bench_sim` emits them), every `"eval_reduction"` and
-//!   `"eval_reduction_2d"` must be at least `1.0` — an engine doing
-//!   *more* gate evaluations than the dense baseline on any circuit is
-//!   a regression, not a trade-off — and on the `c6288ish` multiplier
-//!   row (the least sparse circuit, the paper's hardest case) both must
-//!   exceed `1.3`; a non-smoke artifact (`"smoke": false`) must
+//! * in the simulation artifact (recognized by its `event_w1_node_evals`
+//!   fields — only `bench_sim` emits them), every `"eval_reduction"`
+//!   must be at least `1.0` — an engine doing *more* gate evaluations
+//!   than the dense baseline on any circuit is a regression, not a
+//!   trade-off — and on the `c6288ish` multiplier row (the least sparse
+//!   circuit, the paper's hardest case) it must exceed `1.3`; a
+//!   non-smoke artifact (`"smoke": false`) must
 //!   contain a `c6288ish` row at all, so the floor cannot be dodged by
 //!   deleting the row — the CI smoke configuration runs a reduced
 //!   circuit set and is exempt from row presence only.  Other
@@ -162,10 +162,10 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     let mut guided: Vec<(f64, usize)> = Vec::new();
     let mut unguided: Vec<(f64, usize)> = Vec::new();
     let mut bytes_per_gate: Vec<(f64, usize)> = Vec::new();
-    // The simulation artifact is the one with 2D-tiled headline fields;
+    // The simulation artifact is the one with event-at-W=1 eval counts;
     // the eval-reduction floors below apply only to it (other artifacts
     // reuse the `eval_reduction` key for differently-scaled metrics).
-    let is_sim_artifact = values.iter().any(|v| v.key == "eval_reduction_2d");
+    let is_sim_artifact = values.iter().any(|v| v.key == "event_w1_node_evals");
     // The serving artifact leads with warm-over-cold ratios; only
     // `bench_serve` emits that key.
     let is_serve_artifact = values.iter().any(|v| v.key == "warm_over_cold");
@@ -175,10 +175,10 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     let mut saw_c6288_row = false;
     let mut warm_headline_rows = 0usize;
     for v in &values {
-        // Simulation eval-reduction floors: both the 1D event headline
-        // and the 2D tiled headline must beat the dense baseline on
-        // every circuit, and clear 1.3x on the c6288ish multiplier.
-        if is_sim_artifact && (v.key == "eval_reduction" || v.key == "eval_reduction_2d") {
+        // Simulation eval-reduction floor: the event headline must beat
+        // the dense baseline on every circuit, and clear 1.3x on the
+        // c6288ish multiplier.
+        if is_sim_artifact && v.key == "eval_reduction" {
             let hard_row = v.circuit.starts_with("c6288");
             saw_c6288_row |= hard_row;
             if let Ok(x) = v.value.parse::<f64>() {
@@ -269,7 +269,7 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
     }
     if is_sim_artifact && !is_smoke && !saw_c6288_row {
         violations.push(format!(
-            "{path}: has eval_reduction_2d fields but no c6288ish row — multiplier floor dodged"
+            "{path}: simulation artifact has no c6288ish row — multiplier floor dodged"
         ));
     }
     if bit_identical_fields == 0 {
@@ -426,33 +426,43 @@ mod tests {
 
     #[test]
     fn sub_unity_eval_reductions_are_flagged() {
-        for key in ["eval_reduction", "eval_reduction_2d"] {
-            let text = format!(
-                "{{ \"results\": [ {{ \"circuit\": \"s1\", \"{key}\": 0.97, \"bit_identical\": true }}, {{ \"circuit\": \"c6288ish\", \"eval_reduction\": 1.9, \"eval_reduction_2d\": 1.9, \"bit_identical\": true }} ] }}"
-            );
-            let v = check_artifact("x.json", &text);
-            assert_eq!(v.len(), 1, "key {key}: {v:?}");
-            assert!(v[0].contains("more gates than dense"), "key {key}");
-            assert!(v[0].contains("s1"), "key {key}");
-        }
+        let text = "{ \"results\": [ { \"circuit\": \"s1\", \"event_w1_node_evals\": 10, \"eval_reduction\": 0.97, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"event_w1_node_evals\": 10, \"eval_reduction\": 1.9, \"bit_identical\": true } ] }";
+        let v = check_artifact("x.json", text);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("more gates than dense"));
+        assert!(v[0].contains("s1"));
+    }
+
+    #[test]
+    fn sim_artifacts_keep_their_floors_without_the_retired_2d_fields() {
+        // The simulation artifact is recognized by a field its 1D rows
+        // keep, so neither floor can go vacuous.
+        let sub_unity = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"c6288ish\", \"event_w1_node_evals\": 852241, \"eval_reduction\": 0.97, \"bit_identical\": true } ] }";
+        let v = check_artifact("x.json", sub_unity);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("more gates than dense"));
+        let no_multiplier = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"c880ish\", \"event_w1_node_evals\": 1000, \"eval_reduction\": 2.5, \"bit_identical\": true } ] }";
+        let v = check_artifact("x.json", no_multiplier);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("no c6288ish row"));
     }
 
     #[test]
     fn c6288ish_multiplier_floor_is_enforced() {
         // 1.2 is fine on an ordinary circuit but below the 1.3 floor on
-        // the multiplier row, for both the 1D and the 2D headline.
-        let ok = "{ \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.2, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.89, \"eval_reduction_2d\": 1.35, \"bit_identical\": true } ] }";
+        // the multiplier row.
+        let ok = "{ \"results\": [ { \"circuit\": \"c880ish\", \"event_w1_node_evals\": 10, \"eval_reduction\": 1.2, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"event_w1_node_evals\": 10, \"eval_reduction\": 1.35, \"bit_identical\": true } ] }";
         assert!(check_artifact("x.json", ok).is_empty());
-        let bad = "{ \"results\": [ { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.89, \"eval_reduction_2d\": 1.2, \"bit_identical\": true } ] }";
+        let bad = "{ \"results\": [ { \"circuit\": \"c6288ish\", \"event_w1_node_evals\": 10, \"eval_reduction\": 1.2, \"bit_identical\": true } ] }";
         let v = check_artifact("x.json", bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("1.3 multiplier floor"));
-        assert!(v[0].contains("eval_reduction_2d"));
+        assert!(v[0].contains("eval_reduction"));
     }
 
     #[test]
     fn deleting_the_c6288ish_row_cannot_dodge_the_floor() {
-        let text = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"s1\", \"eval_reduction\": 6.0, \"eval_reduction_2d\": 9.0, \"bit_identical\": true } ] }";
+        let text = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"s1\", \"event_w1_node_evals\": 10, \"eval_reduction\": 6.0, \"bit_identical\": true } ] }";
         let v = check_artifact("x.json", text);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("no c6288ish row"));
@@ -462,9 +472,9 @@ mod tests {
     fn smoke_artifacts_need_no_c6288ish_row_but_keep_the_floors() {
         // The CI smoke set (s1, c880ish) has no multiplier row; row
         // presence is waived, the >= 1.0 floor is not.
-        let ok = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.1, \"eval_reduction_2d\": 1.1, \"bit_identical\": true } ] }";
+        let ok = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"event_w1_node_evals\": 10, \"eval_reduction\": 1.1, \"bit_identical\": true } ] }";
         assert!(check_artifact("x.json", ok).is_empty());
-        let bad = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"eval_reduction\": 1.1, \"eval_reduction_2d\": 0.9, \"bit_identical\": true } ] }";
+        let bad = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c880ish\", \"event_w1_node_evals\": 10, \"eval_reduction\": 0.9, \"bit_identical\": true } ] }";
         let v = check_artifact("x.json", bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("more gates than dense"));
@@ -474,7 +484,7 @@ mod tests {
     fn null_dense_fields_on_derived_rows_pass() {
         // The 120k-gate scale row derives its dense baseline and emits
         // null wall-clock fields; the guard must accept them.
-        let text = "{ \"results\": [ { \"circuit\": \"tiled_120000_7\", \"dense_seconds\": null, \"wall_speedup\": null, \"eval_reduction\": 4.2, \"eval_reduction_2d\": 5.0, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"eval_reduction\": 1.9, \"eval_reduction_2d\": 1.4, \"bit_identical\": true } ] }";
+        let text = "{ \"results\": [ { \"circuit\": \"tiled_120000_7\", \"dense_seconds\": null, \"wall_speedup\": null, \"event_w1_node_evals\": 10, \"eval_reduction\": 4.2, \"bit_identical\": true }, { \"circuit\": \"c6288ish\", \"event_w1_node_evals\": 10, \"eval_reduction\": 1.9, \"bit_identical\": true } ] }";
         assert!(check_artifact("x.json", text).is_empty());
     }
 

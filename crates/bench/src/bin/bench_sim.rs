@@ -1,19 +1,18 @@
 //! Machine-readable PPSFP benchmark: dense cone walk vs event-driven
-//! sparse propagation over multi-word superblocks vs the 2D tiled
-//! engine (fault shards × pattern stripes with dense multi-fault
-//! batching).
+//! sparse propagation over multi-word superblocks, both on the one
+//! fault-simulation driver, plus the driver's 1- vs 2-thread wall clock.
 //!
-//! Writes `BENCH_sim.json`.  The headline metrics are
+//! Writes `BENCH_sim.json`.  The headline metric is
 //! **machine-independent**: gate evaluations per detected fault, dense
-//! vs event (`eval_reduction`) and dense vs the 2D tiled engine
-//! (`eval_reduction_2d`).  The 1D headline combines two effects — sparse
+//! vs event (`eval_reduction`).  It combines two effects — sparse
 //! scheduling (only nodes the fault effect reaches are evaluated,
 //! stopping when the frontier dies) and superblock amortization (one
 //! `[u64; W]` evaluation covers `W` dense blocks' worth of patterns) —
 //! so the artifact also records an event run at `W = 1`
 //! (`sparsity_reduction`) to separate the two, the frontier die-out
-//! rate, and a bit-identity check of all engines' coverage results.
-//! Wall-clock fields depend on the host and are reported alongside.
+//! rate, and a bit-identity check of all runs' coverage results.
+//! Wall-clock fields depend on the host and are reported alongside,
+//! with the host's `available_parallelism`.
 //!
 //! Circuits too large for the dense engine's per-cone storage report a
 //! **derived** dense baseline instead of a measured one: a profiled
@@ -25,26 +24,25 @@
 //! Run with `cargo run --release -p wrt-bench --bin bench_sim`.
 //!
 //! ```text
-//! bench_sim [--patterns N] [--block-words W] [--threads T]
-//!           [--circuits a,b,...] [--out PATH] [--smoke]
+//! bench_sim [--patterns N] [--block-words W] [--circuits a,b,...]
+//!           [--out PATH] [--smoke]
 //! ```
 //!
-//! Defaults: 2048 patterns, `W = 4` (256 patterns per event pass), 4
-//! threads for the sharded-event and tiled rows, the four large workload
-//! circuits plus the 120k-gate `tiled_120000_7` scale circuit,
-//! `BENCH_sim.json` in the current directory.  `--smoke` runs a
-//! scaled-down version for CI (small circuits, few patterns) — the 2D
-//! tiled row is exercised in both modes.
+//! Defaults: 2048 patterns, `W = 4` (256 patterns per event pass), the
+//! four large workload circuits plus the 11k-gate `tiled_10000_16` and
+//! the 120k-gate `tiled_120000_7` scale circuits, `BENCH_sim.json` in
+//! the current directory.  `--smoke` runs a scaled-down version for CI
+//! (small circuits, few patterns).
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use wrt_circuit::{transitive_fanout, Circuit};
 use wrt_fault::FaultList;
+use wrt_robust::Budget;
 use wrt_sim::{
-    available_threads, fault_coverage_opts, fault_coverage_tiled, superblock_split, BatchMode,
-    EventSimulator, FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock, TileOptions,
-    TileStats, WeightedPatterns,
+    available_threads, fault_coverage_robust, superblock_split, CoverageResult, EventSimulator,
+    FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock, WeightedPatterns,
 };
 
 const SEED: u64 = 0xC0DE;
@@ -61,12 +59,12 @@ struct Row {
     detected: usize,
     patterns: u64,
     block_words: usize,
-    threads: usize,
     /// `None` when the dense baseline is derived, not measured.
     dense_seconds: Option<f64>,
+    /// The event inner loop on one driver shard (`--threads 1`).
     event_seconds: f64,
-    event_sharded_seconds: f64,
-    tiled_seconds: f64,
+    /// The same run on two driver shards (`--threads 2`).
+    event_t2_seconds: f64,
     /// Measured or derived dense gate evals (see `dense_baseline`).
     dense_node_evals: u64,
     dense_baseline: &'static str,
@@ -74,7 +72,6 @@ struct Row {
     /// Event engine at `W = 1`: same block granularity as dense, so the
     /// eval ratio against it isolates the pure scheduling-sparsity win.
     event_w1_stats: SimStats,
-    tiled_stats: TileStats,
     identical: bool,
 }
 
@@ -93,14 +90,6 @@ impl Row {
     /// share alone.
     fn eval_reduction(&self) -> f64 {
         self.dense_node_evals as f64 / self.event_stats.node_evals.max(1) as f64
-    }
-
-    /// The 2D headline: dense ÷ tiled-engine gate evaluations, the tiled
-    /// side counting everything it spends — event axis, dense batch
-    /// passes, classification probe, and cross-stripe re-probing of
-    /// already-detected faults.
-    fn eval_reduction_2d(&self) -> f64 {
-        self.dense_node_evals as f64 / self.tiled_stats.sim.node_evals.max(1) as f64
     }
 
     /// Dense ÷ event-at-`W = 1` gate evaluations: both engines work in
@@ -124,9 +113,8 @@ impl Row {
             Some(s) => (format!("{s:.6}"), format!("{:.3}", s / self.event_seconds)),
             None => ("null".into(), "null".into()),
         };
-        let t = &self.tiled_stats;
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"threads\": {},\n      \"event_sharded_seconds\": {:.6},\n      \"tiled_seconds\": {:.6},\n      \"tiled_node_evals\": {},\n      \"tiled_event_axis_node_evals\": {},\n      \"tiled_batch_node_evals\": {},\n      \"tiled_probe_node_evals\": {},\n      \"eval_reduction_2d\": {:.3},\n      \"tiled_block_words\": {},\n      \"pattern_stripes\": {},\n      \"fault_shards\": {},\n      \"tiles\": {},\n      \"tile_steals\": {},\n      \"batches\": {},\n      \"batch_dense_faults\": {},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"faults\": {},\n      \"detected_faults\": {},\n      \"patterns\": {},\n      \"block_words\": {},\n      \"dense_baseline\": \"{}\",\n      \"dense_seconds\": {},\n      \"event_seconds\": {:.6},\n      \"wall_speedup\": {},\n      \"dense_node_evals\": {},\n      \"event_node_evals\": {},\n      \"event_w1_node_evals\": {},\n      \"dense_evals_per_detected\": {:.1},\n      \"event_evals_per_detected\": {:.1},\n      \"eval_reduction\": {:.3},\n      \"sparsity_reduction\": {:.3},\n      \"scheduled_vs_cone_ratio\": {:.4},\n      \"frontier_dieout_rate\": {:.4},\n      \"unexcited_rate\": {:.4},\n      \"event_t2_seconds\": {:.6},\n      \"t2_speedup\": {:.3},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.inputs,
             self.gates,
@@ -148,21 +136,8 @@ impl Row {
             self.scheduled_vs_cone_ratio(),
             self.event_stats.frontier_dieout_rate(),
             self.event_stats.unexcited as f64 / self.event_stats.fault_blocks.max(1) as f64,
-            self.threads,
-            self.event_sharded_seconds,
-            self.tiled_seconds,
-            t.sim.node_evals,
-            t.event_node_evals,
-            t.batch_node_evals,
-            t.probe_node_evals,
-            self.eval_reduction_2d(),
-            t.block_words,
-            t.stripes,
-            t.shards,
-            t.tiles,
-            t.steals,
-            t.batches,
-            t.batch_dense_faults,
+            self.event_t2_seconds,
+            self.event_seconds / self.event_t2_seconds,
             self.identical,
         )
     }
@@ -225,9 +200,33 @@ fn derived_dense_node_evals(circuit: &Circuit, faults: &FaultList, patterns: u64
         .sum()
 }
 
-fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: usize) -> Row {
+/// One unbudgeted, fault-dropping run of the fault-simulation driver.
+fn driver(
+    circuit: &Circuit,
+    faults: &FaultList,
+    patterns: u64,
+    threads: usize,
+    opts: SimOptions,
+) -> (CoverageResult, SimStats) {
+    let source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
+    let outcome = fault_coverage_robust(
+        circuit,
+        faults,
+        source,
+        patterns,
+        true,
+        threads,
+        opts,
+        &Budget::unlimited(),
+    );
+    assert!(outcome.is_complete(), "an unlimited run completes");
+    let run = outcome.into_value();
+    assert!(run.recovery.is_clean(), "no worker failed");
+    (run.result, run.stats)
+}
+
+fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize) -> Row {
     let faults = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
-    let source = || WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
     let event_opts = SimOptions::event(block_words);
     let derive_dense = circuit.num_nodes() > DENSE_DERIVE_NODES;
     // Big derived-baseline rows (the 10^5-gate scale circuit) get one
@@ -236,9 +235,8 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
     // that matter) are deterministic either way, and best-of-N would
     // triple an already-long artifact regeneration.
     let reps = if derive_dense { 0 } else { 2 };
-    let (event_seconds, (event, event_stats)) = time_best(reps, || {
-        fault_coverage_opts(circuit, &faults, source(), patterns, true, event_opts)
-    });
+    let (event_seconds, (event, event_stats)) =
+        time_best(reps, || driver(circuit, &faults, patterns, 1, event_opts));
     let (dense_seconds, dense_node_evals, dense_identical) = if derive_dense {
         (
             None,
@@ -246,9 +244,8 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
             true,
         )
     } else {
-        let (secs, (dense, dense_stats)) = time_best(2, || {
-            fault_coverage_opts(circuit, &faults, source(), patterns, true, SimOptions::dense())
-        });
+        let (secs, (dense, dense_stats)) =
+            time_best(2, || driver(circuit, &faults, patterns, 1, SimOptions::dense()));
         (
             Some(secs),
             dense_stats.node_evals,
@@ -258,28 +255,11 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
     // One untimed event pass at W = 1: same block granularity as dense,
     // isolating the scheduling-sparsity share of the eval reduction.
     let (event_w1, event_w1_stats) =
-        fault_coverage_opts(circuit, &faults, source(), patterns, true, SimOptions::event(1));
-    let (event_sharded_seconds, (event_sharded, _)) = time_best(reps, || {
-        wrt_sim::fault_coverage_sharded_opts(
-            circuit,
-            &faults,
-            source(),
-            patterns,
-            true,
-            threads,
-            event_opts,
-        )
-    });
-    // The 2D tiled engine: auto width/stripes, shards = threads, batch
-    // classification on.
-    let tiled_opts = TileOptions {
-        threads,
-        batch: BatchMode::Auto,
-        ..TileOptions::default()
-    };
-    let (tiled_seconds, (tiled, tiled_stats)) = time_best(reps, || {
-        fault_coverage_tiled(circuit, &faults, source(), patterns, true, &tiled_opts)
-    });
+        driver(circuit, &faults, patterns, 1, SimOptions::event(1));
+    // The same event run fanned out over two fault shards: identical
+    // coverage and work, only the wall clock may differ.
+    let (event_t2_seconds, (event_t2, event_t2_stats)) =
+        time_best(reps, || driver(circuit, &faults, patterns, 2, event_opts));
     Row {
         circuit: circuit.name().to_string(),
         inputs: circuit.num_inputs(),
@@ -288,20 +268,17 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize, threads: 
         detected: event.num_detected(),
         patterns,
         block_words,
-        threads,
         dense_seconds,
         event_seconds,
-        event_sharded_seconds,
-        tiled_seconds,
+        event_t2_seconds,
         dense_node_evals,
         dense_baseline: if derive_dense { "derived" } else { "measured" },
         event_stats,
         event_w1_stats,
-        tiled_stats,
         identical: dense_identical
             && event.detected_at() == event_w1.detected_at()
-            && event.detected_at() == event_sharded.detected_at()
-            && event.detected_at() == tiled.detected_at(),
+            && event.detected_at() == event_t2.detected_at()
+            && event_stats.node_evals == event_t2_stats.node_evals,
     }
 }
 
@@ -321,9 +298,6 @@ fn main() {
     let block_words: usize = flag(&args, "--block-words")
         .map(|v| v.parse().expect("--block-words W"))
         .unwrap_or(4);
-    let threads: usize = flag(&args, "--threads")
-        .map(|v| v.parse().expect("--threads T"))
-        .unwrap_or(4);
     let out = flag(&args, "--out").unwrap_or("BENCH_sim.json").to_string();
     let circuits: Vec<String> = flag(&args, "--circuits")
         .map(|v| v.split(',').map(str::to_string).collect())
@@ -336,33 +310,34 @@ fn main() {
                     "c5315ish".into(),
                     "c6288ish".into(),
                     "c7552ish".into(),
+                    "tiled_10000_16".into(),
                     "tiled_120000_7".into(),
                 ]
             }
         });
 
     println!(
-        "PPSFP dense vs event vs 2D tiled ({patterns} patterns, W = {block_words}, \
-         {threads} threads for the sharded/tiled rows, {} cores available)",
+        "PPSFP dense vs event on the driver ({patterns} patterns, W = {block_words}, \
+         1 vs 2 threads, {} cores available)",
         available_threads()
     );
     let mut rows = Vec::new();
     for name in &circuits {
         let circuit = wrt_workloads::by_name(name)
             .unwrap_or_else(|| panic!("unknown workload `{name}`"));
-        let row = bench_circuit(&circuit, patterns, block_words, threads);
+        let row = bench_circuit(&circuit, patterns, block_words);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
-             ({:.2}x fewer; 2D {:.2}x; {:.2}x from sparsity)  batched {}  identical {}",
+             ({:.2}x fewer; {:.2}x from sparsity)  1 vs 2 threads {:.4}s / {:.4}s  identical {}",
             row.circuit,
             row.faults,
             row.dense_evals_per_detected(),
             if row.dense_seconds.is_none() { "*" } else { " " },
             row.event_evals_per_detected(),
             row.eval_reduction(),
-            row.eval_reduction_2d(),
             row.sparsity_reduction(),
-            row.tiled_stats.batch_dense_faults,
+            row.event_seconds,
+            row.event_t2_seconds,
             row.identical,
         );
         rows.push(row);
@@ -370,10 +345,9 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. eval_reduction_2d is the 2D headline: dense vs the tiled engine's total spend (tiled_node_evals = tiled_event_axis + tiled_batch + tiled_probe node evals), at its auto-resolved tiled_block_words, pattern_stripes and fault_shards. batch_dense_faults faults were peeled into `batches` shared dense multi-fault passes. tile_steals counts tiles run by a non-home worker and is the one scheduling-dependent (nondeterministic) field. dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event, sharded-event, and 2D tiled coverage agree exactly. Wall-clock fields are host-dependent; on a 1-core container the sharded and tiled rows measure fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"threads\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. Every run goes through the one fault-simulation driver (fault_coverage_robust, unlimited budget): dense and event rows on one fault shard, event_t2_seconds the same event run on two shards, t2_speedup = event_seconds / event_t2_seconds, to be read against available_parallelism (the host's core count). dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and two-shard event coverage agree exactly, and that the one- and two-shard event runs did identical gate evaluations. Wall-clock fields are host-dependent; with available_parallelism 1 the two-shard column measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
         block_words,
-        threads,
         available_threads(),
         smoke,
         body.join(",\n"),

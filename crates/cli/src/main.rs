@@ -10,7 +10,7 @@
 //!              [--engine cop|stafan|monte-carlo] [--threads T]
 //!              [--seed-weights uniform|scoap]
 //! wrt simulate <netlist.bench | workload> --patterns N [--weights w1,w2,…]
-//!              [--threads T]
+//!              [--threads T] [--engine dense|event] [--block-words W]
 //! wrt atpg     <netlist.bench | workload> [--backtracks B]
 //!              [--guidance cop|scoap|unguided]
 //! wrt generate [--gates N] [--seed S] [--out FILE]  tiled synthetic netlist
@@ -23,6 +23,9 @@
 //! A circuit argument is first tried as a workload registry name
 //! (e.g. `s1`, `c7552ish`), then as a `.bench` file path; `#<uid>`
 //! addresses a circuit already registered in the target registry.
+//!
+//! Output piped into a reader that stops early (`wrt generate | head -1`)
+//! ends the run cleanly instead of panicking on the closed pipe.
 //!
 //! Long-running commands respond to Ctrl-C by cancelling cooperatively:
 //! the run stops at its next budget check-in with a structured partial
@@ -44,27 +47,9 @@ fn main() -> ExitCode {
             Some((addr, argv)) => commands::remote(addr, argv),
             None => Err(format!("--remote requires <addr> <command ...>\n{}", commands::USAGE)),
         },
-        "stats" => commands::stats(rest),
-        "analyze" => commands::analyze(rest),
-        "estimate" => commands::estimate(rest),
-        "eco" => commands::eco(rest),
-        "optimize" => commands::optimize(rest),
-        "simulate" => commands::simulate(rest),
-        "atpg" => commands::atpg(rest),
-        "generate" => commands::generate(rest),
-        "load" => commands::load(rest),
-        "stat" => commands::stat(),
         "serve" => commands::serve(rest),
         "client" => commands::client(rest),
-        "workloads" => {
-            commands::workloads();
-            Ok(())
-        }
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", commands::USAGE)),
+        _ => commands::run(&args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

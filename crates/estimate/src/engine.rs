@@ -2,7 +2,8 @@
 
 use wrt_circuit::{Circuit, NodeId};
 use wrt_fault::{Fault, FaultList, FaultSite};
-use wrt_sim::{detection_counts_sharded_opts, SimOptions, WeightedPatterns};
+use wrt_robust::Budget;
+use wrt_sim::{detection_counts_robust, SimOptions, WeightedPatterns};
 
 use crate::cop::{observabilities_cop, signal_probabilities_cop};
 use crate::exact::exact_detection_probability;
@@ -222,8 +223,8 @@ impl DetectionProbabilityEngine for StafanEngine {
 ///
 /// Unbiased but blind to probabilities below `≈ 1 / patterns`.
 ///
-/// The simulation fans out over the sharded PPSFP engine
-/// ([`wrt_sim::detection_counts_sharded_opts`]): `threads` worker threads
+/// The simulation runs on the fault-simulation driver
+/// ([`wrt_sim::detection_counts_robust`], unlimited budget): `threads` worker threads
 /// each own one cone-locality-aware fault shard, and each worker runs the
 /// inner loop selected by `sim_options` — by default the event-driven
 /// superblock engine ([`SimOptions::default`]).  Neither thread count nor
@@ -281,25 +282,21 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             input_probs.to_vec(),
             self.seed.wrapping_add(self.calls.wrapping_mul(0x2545_F491)),
         );
-        let (counts, _) = detection_counts_sharded_opts(
+        frequencies(
             circuit,
             faults,
             source,
             self.patterns,
             self.threads,
             self.sim_options,
-        );
-        counts
-            .into_iter()
-            .map(|c| c as f64 / self.patterns as f64)
-            .collect()
+        )
     }
 
     /// Simulates both probability vectors concurrently, splitting the
     /// thread budget between them (each half still shards its fault
     /// list).  Identical output to two sequential
     /// [`estimate`](DetectionProbabilityEngine::estimate) calls — the
-    /// per-call seed derivation and the sharded engine's results are
+    /// per-call seed derivation and the driver's results are
     /// both independent of the thread count.
     ///
     /// With an effective budget of one thread (explicit `threads = 1`,
@@ -333,33 +330,63 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
         // Split the budget without losing the odd thread (e.g. 3 → 2 + 1).
         let threads_b = (resolved / 2).max(1);
         let threads_a = (resolved - resolved / 2).max(1);
-        let to_probs = |counts: Vec<u64>| -> Vec<f64> {
-            counts
-                .into_iter()
-                .map(|c| c as f64 / patterns as f64)
-                .collect()
-        };
         std::thread::scope(|scope| {
             let b = scope.spawn(|| {
-                detection_counts_sharded_opts(
-                    circuit, faults, source_b, patterns, threads_b, sim_options,
-                )
-                .0
+                frequencies(circuit, faults, source_b, patterns, threads_b, sim_options)
             });
-            let a = detection_counts_sharded_opts(
-                circuit, faults, source_a, patterns, threads_a, sim_options,
-            )
-            .0;
-            (
-                to_probs(a),
-                to_probs(b.join().expect("estimate_pair worker panicked")),
-            )
+            let a = frequencies(circuit, faults, source_a, patterns, threads_a, sim_options);
+            (a, b.join().expect("estimate_pair worker panicked"))
         })
     }
 
     fn name(&self) -> &'static str {
         "monte-carlo"
     }
+}
+
+/// Observed detection frequencies of `patterns` patterns from `source` on
+/// the fault-simulation driver.
+///
+/// # Panics
+///
+/// Panics if the unbounded run did not complete — an injected budget
+/// check-in failure — or a shard worker panicked repeatedly and its
+/// faults could not be recovered by bounded serial replay: an estimate
+/// over lost faults would be silently wrong.
+fn frequencies(
+    circuit: &Circuit,
+    faults: &FaultList,
+    source: WeightedPatterns,
+    patterns: u64,
+    threads: usize,
+    sim_options: SimOptions,
+) -> Vec<f64> {
+    let outcome = detection_counts_robust(
+        circuit,
+        faults,
+        source,
+        patterns,
+        threads,
+        sim_options,
+        &Budget::unlimited(),
+    );
+    assert!(
+        outcome.is_complete(),
+        "Monte-Carlo simulation interrupted: {:?}",
+        outcome.interrupt_reason()
+    );
+    let run = outcome.into_value();
+    assert!(
+        run.recovery.fully_recovered(),
+        "fault-sim shard recovery failed: {} faults unresolved after bounded replays \
+         ({} worker panics)",
+        run.recovery.unresolved.len(),
+        run.recovery.worker_panics,
+    );
+    run.counts
+        .into_iter()
+        .map(|c| c as f64 / patterns as f64)
+        .collect()
 }
 
 /// Exact engine: weighted exhaustive enumeration of the whole input space.

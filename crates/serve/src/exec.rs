@@ -32,10 +32,7 @@ use wrt_estimate::{
 };
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, Progress, RunOutcome};
-use wrt_sim::{
-    fault_coverage_robust, fault_coverage_tiled_robust, BatchMode, SimEngineKind, SimOptions,
-    TileOptions, WeightedPatterns,
-};
+use wrt_sim::{fault_coverage_robust, SimEngineKind, SimOptions, WeightedPatterns};
 
 use crate::registry::{weight_key, CircuitEntry, Registry};
 
@@ -84,18 +81,13 @@ commands:
            --seed-weights scoap starts the descent at the SCOAP-derived
            input bias instead of the jittered equiprobable point.
   simulate <circuit> --patterns N [--weights w1,w2,...] [--seed S] [--threads T]
-           [--engine dense|event] [--block-words W] [--pattern-stripes P]
+           [--engine dense|event] [--block-words W]
            [--time-limit SECS] [--max-evals N]
-           weighted-random fault simulation;
+           weighted-random fault simulation on the fault-sharded driver;
            --engine event (default) runs event-driven sparse propagation
            over W-word superblocks (--block-words 1|2|4|8|16, default 4);
            --engine dense is the single-word reference cone walk.
-           --pattern-stripes P switches to the 2D tiled engine (fault
-           shards × pattern stripes with work stealing and dense
-           multi-fault batching; requires --engine event): P = 0 picks
-           the stripe count automatically, oversized P is clamped, and
-           --block-words defaults to auto instead of 4.
-           Coverage is bit-identical for every engine/width/thread/stripe
+           Coverage is bit-identical for every engine/width/thread
            choice.
   atpg     <circuit> [--backtracks B] [--guidance cop|scoap|unguided]
            [--degrade] [--time-limit SECS] [--max-evals N]
@@ -117,7 +109,8 @@ commands:
   client   <addr> <command ...>                   send one command to a server
 
 <circuit> is a workload name (see `wrt workloads`), a .bench file path,
-or `#<uid>` for a circuit already registered via `load`.  `wrt --remote
+or `#<uid>` for a circuit already registered via `load`.  A --flag the
+command does not read is an error, not silently ignored.  `wrt --remote
 <addr> <command ...>` forwards any command to a running server; `wrt
 client` is the same thing spelled as a verb.
 --threads T runs PPSFP fault simulation on T sharded worker threads
@@ -181,16 +174,55 @@ impl ExecContext {
     }
 }
 
+/// Every verb [`execute`] dispatches, with the `--flags` it reads.
+#[rustfmt::skip]
+const VERBS: &[(&str, &[&str])] = &[
+    ("stats", &[]),
+    ("analyze", &["--lint", "--json"]),
+    ("estimate", &["--weights", "--confidence", "--top"]),
+    ("eco", &["--set", "--weights", "--top"]),
+    ("optimize", &["--grid", "--confidence", "--engine", "--threads", "--seed", "--mc-patterns",
+        "--commit-batch", "--seed-weights", "--time-limit", "--max-evals", "--checkpoint",
+        "--resume"]),
+    ("simulate", &["--patterns", "--weights", "--seed", "--threads", "--engine", "--block-words",
+        "--time-limit", "--max-evals"]),
+    ("atpg", &["--backtracks", "--guidance", "--degrade", "--time-limit", "--max-evals",
+        "--max-backtracks-total", "--checkpoint", "--resume"]),
+    ("generate", &["--gates", "--seed", "--out"]),
+    ("load", &[]),
+    ("stat", &[]),
+    ("flush", &[]),
+    ("workloads", &[]),
+    ("help", &[]),
+    ("--help", &[]),
+    ("-h", &[]),
+    ("shutdown", &[]),
+];
+
 /// Dispatches one request (CLI argv or protocol line) to its verb.
+///
+/// A `--flag` the verb does not read is rejected before the verb runs,
+/// so a typo or a retired flag is a structured `unknown flag` error —
+/// identically in batch and served mode — instead of a silently
+/// different run.
 ///
 /// # Errors
 ///
-/// Every failure — unknown verb, bad flag, unresolvable circuit,
-/// refused resume — is a rendered message, never a panic.
+/// Every failure — unknown verb or flag, bad flag value, unresolvable
+/// circuit, refused resume — is a rendered message, never a panic.
 pub fn execute(ctx: &ExecContext, argv: &[String]) -> Result<String, String> {
     let Some((verb, rest)) = argv.split_first() else {
         return Err(format!("empty request\n{USAGE}"));
     };
+    let Some((_, accepted)) = VERBS.iter().find(|(name, _)| name == verb) else {
+        return Err(format!("unknown command `{verb}`\n{USAGE}"));
+    };
+    if let Some(flag) = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+    {
+        return Err(format!("unknown flag `{flag}` for `{verb}` (see `wrt help`)"));
+    }
     match verb.as_str() {
         "stats" => stats(ctx, rest),
         "analyze" => analyze(ctx, rest),
@@ -206,7 +238,7 @@ pub fn execute(ctx: &ExecContext, argv: &[String]) -> Result<String, String> {
         "workloads" => Ok(workloads_list()),
         "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
         "shutdown" => Err("shutdown only applies to a served session".into()),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => unreachable!("`{other}` is listed in VERBS without a dispatch arm"),
     }
 }
 
@@ -256,14 +288,10 @@ fn is_flag_value(args: &[String], candidate: &String) -> bool {
 }
 
 /// Parses the shared budget flags and merges the context's defaults:
-/// `allow_backtracks` gates `--max-backtracks-total`, which only the
-/// atpg search can honor; the context contributes a default deadline
-/// (when the request sets no `--time-limit`) and the cancellation flag.
-fn budget_arg(
-    ctx: &ExecContext,
-    args: &[String],
-    allow_backtracks: bool,
-) -> Result<Budget, String> {
+/// the context contributes a default deadline (when the request sets no
+/// `--time-limit`) and the cancellation flag.  `--max-backtracks-total`
+/// is only among atpg's accepted flags (see [`execute`]).
+fn budget_arg(ctx: &ExecContext, args: &[String]) -> Result<Budget, String> {
     let mut budget = Budget::unlimited();
     match flag_value(args, "--time-limit") {
         Some(raw) => {
@@ -288,9 +316,6 @@ fn budget_arg(
         budget = budget.with_max_evals(max);
     }
     if let Some(raw) = flag_value(args, "--max-backtracks-total") {
-        if !allow_backtracks {
-            return Err("--max-backtracks-total only applies to atpg".into());
-        }
         let max: u64 = raw
             .parse()
             .map_err(|_| format!("invalid value `{raw}` for --max-backtracks-total"))?;
@@ -778,7 +803,7 @@ pub fn optimize(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
         }
     };
     let mut engine = engine_arg(args)?;
-    let budget = budget_arg(ctx, args, false)?;
+    let budget = budget_arg(ctx, args)?;
     let resume = resume_arg(args, OPTIMIZE_CHECKPOINT_KIND)?;
     let run = optimize_budgeted(
         circuit,
@@ -831,77 +856,9 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     let weights = weights_arg(args, circuit.num_inputs())?;
     let threads: usize = parse_flag(args, "--threads", 0)?;
     let opts = sim_options_arg(args)?;
-    let budget = budget_arg(ctx, args, false)?;
+    let budget = budget_arg(ctx, args)?;
     let faults = entry.experiment_faults();
     let mut out = String::new();
-    if flag_value(args, "--pattern-stripes").is_some() {
-        let stripes: usize = parse_flag(args, "--pattern-stripes", 0)?;
-        if opts.engine == SimEngineKind::Dense {
-            return Err("--pattern-stripes requires --engine event (the 2D tiled \
-                 engine's event axis); drop --engine dense"
-                .into());
-        }
-        // With no explicit --block-words the tiled engine picks the
-        // width itself (pattern count and cache budget), instead of
-        // inheriting the 1D default of 4.
-        let block_words = if flag_value(args, "--block-words").is_some() {
-            opts.block_words
-        } else {
-            0
-        };
-        let topts = TileOptions {
-            block_words,
-            pattern_stripes: stripes,
-            fault_shards: 0,
-            threads,
-            batch: BatchMode::Auto,
-        };
-        let outcome = fault_coverage_tiled_robust(
-            circuit,
-            faults,
-            WeightedPatterns::new(weights, seed),
-            patterns,
-            true,
-            &topts,
-            &budget,
-        );
-        let robust = match outcome {
-            RunOutcome::Complete(robust) => robust,
-            RunOutcome::Interrupted {
-                partial,
-                reason,
-                progress,
-            } => {
-                report_interrupt(&mut out, "simulation", reason, &progress);
-                partial
-            }
-        };
-        let _ = writeln!(out, "{}", robust.result);
-        if !robust.recovery.is_clean() {
-            let _ = writeln!(
-                out,
-                "tile recovery: {} worker panic(s), {} replay(s), {} unresolved — {}",
-                robust.recovery.worker_panics,
-                robust.recovery.replays,
-                robust.recovery.unresolved.len(),
-                robust.recovery.ladder,
-            );
-        }
-        let s = robust.stats;
-        let _ = writeln!(
-            out,
-            "engine tiled-2d (W={}): {} stripe(s) × {} shard(s) on {} thread(s), \
-             {} tile(s), {} steal(s), {} batched fault(s) in {} batch(es)",
-            s.block_words, s.stripes, s.shards, s.threads, s.tiles, s.steals,
-            s.batch_dense_faults, s.batches,
-        );
-        let _ = writeln!(
-            out,
-            "gate evals: {} total ({} event axis, {} batch axis, {} probe)",
-            s.sim.node_evals, s.event_node_evals, s.batch_node_evals, s.probe_node_evals,
-        );
-        return Ok(out);
-    }
     let outcome = fault_coverage_robust(
         circuit,
         faults,
@@ -989,7 +946,7 @@ pub fn atpg(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
         degrade_on_abort: args.iter().any(|a| a == "--degrade"),
         ..AtpgConfig::default()
     };
-    let budget = budget_arg(ctx, args, true)?;
+    let budget = budget_arg(ctx, args)?;
     let resume = resume_arg(args, ATPG_CHECKPOINT_KIND)?;
     let run = generate_tests_budgeted(circuit, faults, &config, &budget, resume.as_ref())
         .map_err(|e| format!("cannot resume: {e}"))?;
@@ -1050,6 +1007,24 @@ mod tests {
         assert!(execute(&c, &args(&["no-such-verb"])).is_err());
         assert!(execute(&c, &[]).is_err());
         assert!(execute(&c, &args(&["shutdown"])).is_err());
+    }
+
+    #[test]
+    fn execute_rejects_flags_the_verb_does_not_read() {
+        let c = ctx();
+        // Acceptance is per verb: `--json` is analyze's, not stats'.
+        let err = execute(&c, &args(&["stats", "s1", "--json"])).expect_err("unknown flag");
+        assert!(err.starts_with("unknown flag `--json` for `stats`"), "{err}");
+        assert!(execute(&c, &args(&["analyze", "s1", "--json"])).is_ok());
+        assert!(execute(&c, &args(&["simulate", "s1", "--patterns", "64", "--degrade"])).is_err());
+        // An unknown verb is reported as such, flags or not.
+        let err = execute(&c, &args(&["frobnicate", "--json"])).expect_err("unknown verb");
+        assert!(err.starts_with("unknown command `frobnicate`"), "{err}");
+        // Every listed verb has a dispatch arm (none reaches the
+        // unreachable fallback); `generate` is skipped only for speed.
+        for (verb, _) in VERBS.iter().filter(|(v, _)| *v != "generate") {
+            let _ = execute(&c, &args(&[verb]));
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@
 use wrt_circuit::{Circuit, GateKind, NodeId};
 use wrt_fault::{Fault, FaultList, FaultSite};
 
-use crate::coverage::CoverageResult;
 use crate::fault_sim::FaultWorklist;
 use crate::logic::{eval_gate_lanes, WideLogicSim};
 use crate::patterns::{PatternBlock, PatternSource};
@@ -65,8 +64,8 @@ pub const SUPPORTED_BLOCK_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// Monomorphizes `$body` over the supported superblock widths: `$W`
 /// becomes a `const usize` bound to the runtime value `$w`.  The one copy
-/// of the width dispatch, shared by the serial drivers here and the
-/// sharded workers in `parallel.rs`.
+/// of the width dispatch, used by the driver's shard workers in
+/// `parallel.rs`.
 ///
 /// Callers must have validated `$w` via [`SimOptions::validate`] first.
 macro_rules! with_block_words {
@@ -181,11 +180,6 @@ impl SimOptions {
         Ok(())
     }
 
-    fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid SimOptions: {e}");
-        }
-    }
 }
 
 impl Default for SimOptions {
@@ -244,15 +238,11 @@ impl SimStats {
 }
 
 /// Per-fault work profile of an [`EventSimulator`], collected on demand
-/// (see [`EventSimulator::enable_eval_profile`]).  This is what the 2D
-/// tiled engine's batch classifier feeds on, and what `bench_sim` uses to
+/// (see [`EventSimulator::enable_eval_profile`]).  `bench_sim` uses it to
 /// *derive* the dense engine's eval count on circuits too large to run
 /// the dense engine outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvalProfile {
-    /// Scheduled gate evaluations per fault (root injection excluded),
-    /// summed over all profiled passes.
-    pub evals: Vec<u64>,
     /// Excited 64-pattern blocks per fault, *clipped at the detecting
     /// block of each pass*: a lane counts iff it holds valid patterns,
     /// the fault is excited there, and no earlier lane of the same pass
@@ -587,17 +577,9 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
         self.stats = SimStats::default();
     }
 
-    /// The shared fault-free simulator, holding the good values of the
-    /// most recent superblock.  The tiled engine's dense batch passes
-    /// read per-block good values from here instead of re-simulating.
-    pub fn good_sim(&self) -> &WideLogicSim<'c, W> {
-        &self.good
-    }
-
     /// Starts (or restarts) per-fault profiling; counters begin at zero.
     pub fn enable_eval_profile(&mut self) {
         self.profile = Some(FaultEvalProfile {
-            evals: vec![0; self.faults.len()],
             excited_blocks: vec![0; self.faults.len()],
         });
     }
@@ -655,7 +637,6 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     fn detect_fault(&mut self, i: usize, mask: &[u64; W]) -> [u64; W] {
         let fault = self.faults[i];
         self.stats.fault_blocks += 1;
-        let evals_before = self.stats.node_evals;
         let stuck = if fault.stuck_value {
             [u64::MAX; W]
         } else {
@@ -742,7 +723,6 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
             self.stats.detected_blocks += 1;
         }
         if let Some(profile) = self.profile.as_mut() {
-            profile.evals[i] += self.stats.node_evals - evals_before;
             // Excited valid lanes up to (and including) the detecting
             // lane — the blocks a drop-mode dense engine would walk.
             let last = first_set_bit(&masked).map_or(W, |b| b as usize / 64 + 1);
@@ -757,115 +737,12 @@ impl<'c, const W: usize> EventSimulator<'c, W> {
     }
 }
 
-/// [`crate::fault_coverage`] with a configurable inner loop: runs the
-/// selected engine ([`SimOptions`]) and additionally returns its
-/// machine-independent work counters.
-///
-/// Results are bit-identical across every engine/width combination — the
-/// property test in this module proves it — so callers pick options purely
-/// on speed.
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`].
-pub fn fault_coverage_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-    drop: bool,
-    opts: SimOptions,
-) -> (CoverageResult, SimStats) {
-    opts.assert_valid();
-    match opts.engine {
-        SimEngineKind::Dense => crate::fault_sim::fault_coverage_stats(
-            circuit,
-            faults,
-            source,
-            num_patterns,
-            drop,
-        ),
-        SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-            event_coverage::<W>(circuit, faults, source, num_patterns, drop)
-        }),
-    }
-}
-
-/// [`crate::detection_counts`] with a configurable inner loop; see
-/// [`fault_coverage_opts`].
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`].
-pub fn detection_counts_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-    opts: SimOptions,
-) -> (Vec<u64>, SimStats) {
-    opts.assert_valid();
-    match opts.engine {
-        SimEngineKind::Dense => {
-            crate::fault_sim::detection_counts_stats(circuit, faults, source, num_patterns)
-        }
-        SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-            event_counts::<W>(circuit, faults, source, num_patterns)
-        }),
-    }
-}
-
-fn event_coverage<const W: usize>(
-    circuit: &Circuit,
-    faults: &FaultList,
-    mut source: impl PatternSource,
-    num_patterns: u64,
-    drop: bool,
-) -> (CoverageResult, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, faults);
-    let mut detected_at: Vec<Option<u64>> = vec![None; faults.len()];
-    let mut worklist = FaultWorklist::full(faults.len());
-    let mut sb = SuperBlock::<W>::empty(source.num_inputs());
-    let mut done = 0u64;
-    while done < num_patterns && !(drop && worklist.is_empty()) {
-        sb.refill_draw(&mut source, num_patterns - done);
-        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, drop, |i, w| {
-            if detected_at[i].is_none() {
-                let bit = first_set_bit(&w).expect("on_detect implies a set bit");
-                detected_at[i] = Some(done + u64::from(bit));
-            }
-        });
-        done += u64::from(sb.len);
-    }
-    (CoverageResult::new(detected_at, num_patterns), sim.stats())
-}
-
-fn event_counts<const W: usize>(
-    circuit: &Circuit,
-    faults: &FaultList,
-    mut source: impl PatternSource,
-    num_patterns: u64,
-) -> (Vec<u64>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, faults);
-    let mut counts = vec![0u64; faults.len()];
-    let mut worklist = FaultWorklist::full(faults.len());
-    let mut sb = SuperBlock::<W>::empty(source.num_inputs());
-    let mut done = 0u64;
-    while done < num_patterns {
-        sb.refill_draw(&mut source, num_patterns - done);
-        sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, false, |i, w| {
-            counts[i] += u64::from(count_set_bits(&w));
-        });
-        done += u64::from(sb.len);
-    }
-    (counts, sim.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::{ExhaustivePatterns, WeightedPatterns};
+    use crate::test_support::{counts, coverage};
     use wrt_circuit::parse_bench;
 
     fn adder() -> Circuit {
@@ -953,19 +830,15 @@ mod tests {
         let short = || ShortBlocks(WeightedPatterns::equiprobable(3, 3));
         let dense = fault_coverage(&c, &faults, short(), 200, true);
         for words in SUPPORTED_BLOCK_WORDS {
-            let (event, _) =
-                fault_coverage_opts(&c, &faults, short(), 200, true, SimOptions::event(words));
-            assert_eq!(dense.detected_at(), event.detected_at(), "W = {words}");
-            let (sharded, _) = crate::parallel::fault_coverage_sharded_opts(
-                &c,
-                &faults,
-                short(),
-                200,
-                true,
-                3,
-                SimOptions::event(words),
-            );
-            assert_eq!(dense.detected_at(), sharded.detected_at(), "sharded W = {words}");
+            for threads in [1, 3] {
+                let (event, _) =
+                    coverage(&c, &faults, short(), 200, true, threads, SimOptions::event(words));
+                assert_eq!(
+                    dense.detected_at(),
+                    event.detected_at(),
+                    "W = {words}, threads = {threads}"
+                );
+            }
         }
         // A short mid-stream block closes the superblock early.
         let mut sb = SuperBlock::<4>::empty(3);
@@ -1005,12 +878,13 @@ mod tests {
         let dense = fault_coverage(&c, &faults, ExhaustivePatterns::new(3), 8, false);
         for drop in [false, true] {
             for words in SUPPORTED_BLOCK_WORDS {
-                let (event, stats) = fault_coverage_opts(
+                let (event, stats) = coverage(
                     &c,
                     &faults,
                     ExhaustivePatterns::new(3),
                     8,
                     drop,
+                    1,
                     SimOptions::event(words),
                 );
                 assert_eq!(dense.detected_at(), event.detected_at(), "W = {words}");
@@ -1025,11 +899,12 @@ mod tests {
         let faults = wrt_fault::FaultList::full(&c);
         let dense = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 5), 999);
         for words in SUPPORTED_BLOCK_WORDS {
-            let (event, _) = detection_counts_opts(
+            let (event, _) = counts(
                 &c,
                 &faults,
                 WeightedPatterns::equiprobable(3, 5),
                 999,
+                1,
                 SimOptions::event(words),
             );
             assert_eq!(dense, event, "W = {words}");
@@ -1041,12 +916,13 @@ mod tests {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
         let plain = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 2), 256, true);
-        let (dense, stats) = fault_coverage_opts(
+        let (dense, stats) = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 2),
             256,
             true,
+            1,
             SimOptions::dense(),
         );
         assert_eq!(plain.detected_at(), dense.detected_at());
@@ -1089,20 +965,22 @@ mod tests {
     fn event_never_evaluates_more_than_dense() {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
-        let (_, dense) = fault_coverage_opts(
+        let (_, dense) = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 77),
             512,
             true,
+            1,
             SimOptions::dense(),
         );
-        let (_, event) = fault_coverage_opts(
+        let (_, event) = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 77),
             512,
             true,
+            1,
             SimOptions::event(1),
         );
         // Same blocks, same drops at W = 1: the event engine evaluates a
@@ -1141,12 +1019,13 @@ mod tests {
     fn invalid_width_panics_in_driver() {
         let c = adder();
         let faults = wrt_fault::FaultList::primary_inputs(&c);
-        let _ = fault_coverage_opts(
+        let _ = coverage(
             &c,
             &faults,
             WeightedPatterns::equiprobable(3, 1),
             64,
             true,
+            1,
             SimOptions::event(5),
         );
     }
@@ -1156,9 +1035,8 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
-    use crate::parallel::{detection_counts_sharded_opts, fault_coverage_sharded_opts};
     use crate::patterns::WeightedPatterns;
-    use crate::test_support::arb_circuit;
+    use crate::test_support::{arb_circuit, counts, coverage};
     use proptest::prelude::*;
     use wrt_fault::FaultList;
 
@@ -1168,7 +1046,7 @@ mod proptests {
         /// The event-driven engine is bit-identical to the dense one —
         /// `detected_at` and `counts` — across random circuits, weights,
         /// superblock widths 1/2/4/8/16, pattern counts, drop modes, and
-        /// shard counts (1 = serial, plus oversharding).
+        /// the driver's thread counts (1 shard and several).
         #[test]
         fn event_is_bit_identical_to_dense(
             circuit in arb_circuit(),
@@ -1188,38 +1066,38 @@ mod proptests {
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop,
             );
-            let (event, _) = fault_coverage_opts(
+            let (event, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, opts,
+                patterns, drop, 1, opts,
             );
             prop_assert_eq!(dense.detected_at(), event.detected_at());
 
-            let (event_sharded, _) = fault_coverage_sharded_opts(
+            let (event_sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns, drop, threads, opts,
             );
             prop_assert_eq!(dense.detected_at(), event_sharded.detected_at());
 
-            let counts = detection_counts(
+            let dense_counts = detection_counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
                 patterns,
             );
-            let (counts_event, _) = detection_counts_opts(
+            let (counts_event, _) = counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights.clone(), seed),
-                patterns, opts,
+                patterns, 1, opts,
             );
-            prop_assert_eq!(&counts, &counts_event);
+            prop_assert_eq!(&dense_counts, &counts_event);
 
-            let (counts_sharded, _) = detection_counts_sharded_opts(
+            let (counts_sharded, _) = counts(
                 &circuit, &faults,
                 WeightedPatterns::new(weights, seed),
                 patterns, threads, opts,
             );
-            prop_assert_eq!(&counts, &counts_sharded);
+            prop_assert_eq!(&dense_counts, &counts_sharded);
         }
 
         /// Oversharding (more shards than faults) stays identical for the
@@ -1237,7 +1115,7 @@ mod proptests {
                 WeightedPatterns::equiprobable(4, seed),
                 300, true,
             );
-            let (sharded, _) = fault_coverage_sharded_opts(
+            let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
                 300, true, faults.len() * 3 + 7, opts,

@@ -303,14 +303,6 @@ impl FaultWorklist {
         }
     }
 
-    /// A worklist of exactly the given fault indices (the 2D tiled
-    /// engine's per-tile event-axis membership).
-    pub fn from_indices(indices: &[u32]) -> Self {
-        FaultWorklist {
-            indices: indices.to_vec(),
-        }
-    }
-
     /// A worklist of the indices whose `active` flag is set.
     pub fn from_active(active: &[bool]) -> Self {
         let mut list = FaultWorklist {
@@ -390,22 +382,10 @@ impl FaultWorklist {
 pub fn fault_coverage(
     circuit: &Circuit,
     faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-    drop: bool,
-) -> CoverageResult {
-    fault_coverage_stats(circuit, faults, source, num_patterns, drop).0
-}
-
-/// [`fault_coverage`] plus the dense engine's work counters (the stats
-/// side of [`crate::fault_coverage_opts`] with [`crate::SimOptions::dense`]).
-pub(crate) fn fault_coverage_stats(
-    circuit: &Circuit,
-    faults: &FaultList,
     mut source: impl PatternSource,
     num_patterns: u64,
     drop: bool,
-) -> (CoverageResult, SimStats) {
+) -> CoverageResult {
     let mut sim = FaultSimulator::new(circuit, faults);
     let mut detected_at: Vec<Option<u64>> = vec![None; faults.len()];
     let mut worklist = FaultWorklist::full(faults.len());
@@ -421,32 +401,22 @@ pub(crate) fn fault_coverage_stats(
         });
         done += u64::from(block.len);
     }
-    (CoverageResult::new(detected_at, num_patterns), sim.stats())
+    CoverageResult::new(detected_at, num_patterns)
 }
 
 /// Counts, for every fault, how many of `num_patterns` patterns detect it
 /// (no dropping).  `counts[f] / num_patterns` is the Monte-Carlo estimate
 /// of the detection probability `p_f(X)` for the source's distribution `X`.
-pub fn detection_counts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource,
-    num_patterns: u64,
-) -> Vec<u64> {
-    detection_counts_stats(circuit, faults, source, num_patterns).0
-}
-
-/// [`detection_counts`] plus the dense engine's work counters.
 ///
 /// Runs over a persistent full [`FaultWorklist`] instead of the allocating
 /// [`FaultSimulator::detect_block`], so the streaming loop performs no
 /// per-block allocation.
-pub(crate) fn detection_counts_stats(
+pub fn detection_counts(
     circuit: &Circuit,
     faults: &FaultList,
     mut source: impl PatternSource,
     num_patterns: u64,
-) -> (Vec<u64>, SimStats) {
+) -> Vec<u64> {
     let mut sim = FaultSimulator::new(circuit, faults);
     let mut counts = vec![0u64; faults.len()];
     let mut worklist = FaultWorklist::full(faults.len());
@@ -459,7 +429,7 @@ pub(crate) fn detection_counts_stats(
         });
         done += u64::from(block.len);
     }
-    (counts, sim.stats())
+    counts
 }
 
 #[cfg(test)]

@@ -10,53 +10,36 @@
 //! All randomness is deterministic and seed-driven ([`Xoshiro256`]), so
 //! every experiment in the workspace is bit-reproducible.
 //!
-//! # Engines
+//! # Two inner loops, one driver, one dense reference
 //!
 //! Two PPSFP inner loops share one contract (selected via [`SimOptions`],
 //! results always bit-identical):
 //!
 //! * **dense** ([`FaultSimulator`]) — one `u64` block, per-fault cone
-//!   walk; the simple reference engine.
+//!   walk.
 //! * **event** ([`EventSimulator`]) — event-driven sparse propagation
 //!   over `W`-word superblocks ([`SuperBlock`], `W ∈ {1, 2, 4, 8, 16}`):
 //!   only nodes actually reached by the fault effect are evaluated, and
 //!   each evaluation covers `64 * W` patterns.  See [`EventSimulator`]
 //!   for the ready-set invariants.
 //!
-//! On top of both sits the **2D tiled engine** ([`fault_coverage_tiled`]):
-//! fault-shard × pattern-stripe tiles pulled from a work-stealing queue,
-//! with high-reach faults peeled off into shared dense multi-fault batch
-//! passes ([`BatchMode`]).  Bit-identical to serial for every thread
-//! count, stripe size, and steal order — see the `tile` module docs.
-//!
-//! [`fault_coverage_opts`] / [`detection_counts_opts`] (and their
-//! `_sharded_opts` variants) run the configured engine and also report
+//! Every fault simulation outside tests runs through **one driver**,
+//! [`fault_coverage_robust`] / [`detection_counts_robust`]: the
+//! collapsed fault list is partitioned into cone-locality-aware,
+//! cost-balanced shards (`wrt_fault::FaultPartition`), each shard gets a
+//! scoped worker thread running the selected inner loop over a compacted
+//! [`FaultWorklist`], and the main thread streams the seed-deterministic
+//! pattern blocks to all workers in bounded chunks.  The driver checks a
+//! [`wrt_robust::Budget`] at every chunk boundary (pass
+//! `Budget::unlimited()` for an unbounded run), replays the shard of a
+//! panicked worker serially ([`ShardRecovery`]), and reports
 //! machine-independent work counters ([`SimStats`]) — the metrics
-//! `BENCH_sim.json` tracks.
+//! `BENCH_sim.json` tracks.  `threads = 1` is a single shard.
 //!
-//! # Sharded PPSFP
-//!
-//! The serial entry points ([`fault_coverage`], [`detection_counts`]) have
-//! sharded counterparts ([`fault_coverage_sharded`],
-//! [`detection_counts_sharded`]) that fan the fault list out over worker
-//! threads:
-//!
-//! 1. the collapsed fault list is partitioned into cone-locality-aware,
-//!    cost-balanced shards (`wrt_fault::FaultPartition`) — faults sharing
-//!    an effect root share a shard, so each worker's cone cache stays as
-//!    deduplicated as the serial simulator's;
-//! 2. each shard gets a `std::thread::scope` worker owning a private
-//!    [`FaultSimulator`] (scratch state, good-value buffers) and a
-//!    compacted [`FaultWorklist`] that swap-removes faults on detection,
-//!    so late blocks only touch still-undetected faults;
-//! 3. the main thread draws blocks from the sequential, seed-deterministic
-//!    pattern source and broadcasts them in bounded chunks; workers that
-//!    drain their worklist hang up early.
-//!
-//! Merging per-shard results by fault id makes the sharded engine
-//! bit-identical to the serial one for every thread count (a property-
-//! tested invariant), while the fault-parallel fan-out scales the paper's
-//! Monte-Carlo estimation and validation loops across cores.
+//! The serial dense [`fault_coverage`] / [`detection_counts`] are the
+//! **reference**: the driver's results equal theirs bit for bit for every
+//! thread count, inner loop and superblock width — a property-tested
+//! invariant that the rest of the workspace relies on.
 //!
 //! # Example
 //!
@@ -85,28 +68,18 @@ mod multiple;
 mod parallel;
 mod patterns;
 mod rng;
-mod robust;
 #[cfg(test)]
 mod test_support;
-mod tile;
 
 pub use coverage::{CoverageCurve, CoverageResult};
 pub use event::{
-    count_set_bits, detection_counts_opts, fault_coverage_opts, first_set_bit, superblock_split,
-    EventSimulator, FaultEvalProfile, SimEngineKind, SimOptions, SimStats, SuperBlock,
-    SUPPORTED_BLOCK_WORDS,
-};
-pub use tile::{
-    detection_counts_tiled, fault_coverage_tiled, fault_coverage_tiled_robust, BatchMode,
-    RobustTiledCoverage, TileOptions, TileStats,
+    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile,
+    SimEngineKind, SimOptions, SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
 };
 pub use fault_sim::{detection_counts, fault_coverage, FaultSimulator, FaultWorklist};
 pub use parallel::{
-    available_threads, detection_counts_sharded, detection_counts_sharded_opts,
-    fault_coverage_sharded, fault_coverage_sharded_opts, recommended_threads, ShardRecovery,
-};
-pub use robust::{
-    detection_counts_robust, fault_coverage_robust, RobustCounts, RobustCoverage,
+    available_threads, detection_counts_robust, fault_coverage_robust, recommended_threads,
+    RobustCounts, RobustCoverage, ShardRecovery,
 };
 pub use multiple::{detect_multiple, multiple_fault_coverage, random_multiples};
 pub use logic::{eval_gate_lanes, eval_gate_words, simulate_pattern, LogicSim, WideLogicSim};

@@ -1,11 +1,13 @@
-//! Sharded multi-threaded PPSFP fault simulation.
+//! The fault-simulation driver: streaming, fault-sharded, budgeted and
+//! panic-isolated PPSFP.
 //!
 //! PPSFP is embarrassingly parallel across faults: every fault's detection
 //! words depend only on the fault-free block values and the fault's own
-//! cone.  The engine here partitions the fault list into cone-locality-aware
+//! cone.  The driver partitions the fault list into cone-locality-aware
 //! shards ([`FaultPartition`]), gives each shard a worker thread owning its
-//! own [`FaultSimulator`] scratch state and compacted [`FaultWorklist`],
-//! and streams pattern blocks to all workers in bounded chunks.
+//! own inner-loop simulator (dense [`FaultSimulator`] or event-driven
+//! [`EventSimulator`]) and compacted [`FaultWorklist`], and streams pattern
+//! blocks to all workers in bounded chunks.  `threads = 1` is one shard.
 //!
 //! Design:
 //!
@@ -13,8 +15,9 @@
 //!   blocks from the (inherently sequential, seed-deterministic) pattern
 //!   source and broadcasts reference-counted chunks over bounded channels;
 //!   every worker simulates *all* patterns against *its* faults.  Results
-//!   are merged by fault id, so the outcome is bit-identical to the serial
-//!   engine's — same `detected_at`, same counts — for any thread count.
+//!   are merged by fault id, so the outcome is bit-identical to the dense
+//!   reference ([`crate::fault_coverage`], [`crate::detection_counts`]) —
+//!   same `detected_at`, same counts — for any thread count and engine.
 //! * **Duplicated good simulation.**  Each worker re-runs the fault-free
 //!   simulation of a block for its own scratch state.  That multiplies the
 //!   (cheap, `O(gates)`) good simulation by the shard count but keeps
@@ -23,9 +26,31 @@
 //!   swap-removes detected faults and stops consuming chunks once its
 //!   worklist drains; the producer stops generating as soon as every
 //!   worker has hung up.
+//! * **Budget check-ins at chunk boundaries.**  Every run carries a
+//!   [`Budget`] ([`Budget::unlimited`] when the caller has none); a trip
+//!   always leaves a well-formed prefix of the pattern stream.
+//! * **Panic isolation.**  A dead worker's shard is replayed serially (see
+//!   [`ShardRecovery`]) instead of aborting the run.
 //!
 //! `std::thread::scope` keeps everything dependency-free and lets workers
 //! borrow the circuit and fault list directly.
+//!
+//! # Canonical eval units
+//!
+//! The eval axis of the budget is counted in *canonical* units: one eval
+//! per circuit node per pattern of fault-free simulation.  That makes
+//! `max_evals` a machine- and thread-count-independent measure of the
+//! pattern stream, so an eval-budget interruption at the same value
+//! yields the *bit-identical* partial result across runs, engines, and
+//! thread counts: the budget resolves upfront to a deterministic pattern
+//! clip `min(num_patterns, max_evals / num_nodes)`.  The real measured
+//! work (which is far lower for the event engine) is still reported via
+//! [`SimStats`].
+//!
+//! Wall-clock deadlines and cancellation trip at chunk boundaries, so
+//! their partial results are well-formed prefixes of the pattern stream —
+//! but *which* prefix depends on timing, and they are explicitly excluded
+//! from the bit-identity claim.
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,12 +60,14 @@ use std::sync::Arc;
 use wrt_circuit::Circuit;
 use wrt_fault::{FaultId, FaultList, FaultPartition};
 use wrt_robust::failpoint::{self, sites};
-use wrt_robust::{Budget, BudgetExceeded, DegradeStep, InjectedFailure, Ladder};
+use wrt_robust::{
+    Budget, BudgetExceeded, DegradeStep, InjectedFailure, Ladder, Progress, RunOutcome,
+};
 
 use crate::coverage::CoverageResult;
 use crate::event::{
-    count_set_bits, detection_counts_opts, fault_coverage_opts, first_set_bit, superblock_split,
-    with_block_words, EventSimulator, SimEngineKind, SimOptions, SimStats, SuperBlock,
+    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator,
+    SimEngineKind, SimOptions, SimStats, SuperBlock,
 };
 use crate::fault_sim::{FaultSimulator, FaultWorklist};
 use crate::patterns::{PatternBlock, PatternSource};
@@ -56,15 +83,15 @@ const CHANNEL_DEPTH: usize = 2;
 
 /// A run of consecutive pattern blocks starting at pattern `start`.
 #[derive(Debug)]
-pub(crate) struct Chunk {
-    pub(crate) start: u64,
-    pub(crate) blocks: Vec<PatternBlock>,
+struct Chunk {
+    start: u64,
+    blocks: Vec<PatternBlock>,
 }
 
-/// What the sharded engine had to do to bring a run to completion.
+/// What the driver had to do to bring a run to completion.
 ///
 /// A clean run has zero everything.  When a shard worker dies — a real
-/// panic or an injected one — the engine requeues that shard's fault
+/// panic or an injected one — the driver requeues that shard's fault
 /// worklist for bounded serial replay (same engine first, then the dense
 /// engine); only faults whose shard failed every retry end up in
 /// [`ShardRecovery::unresolved`].
@@ -96,15 +123,29 @@ impl ShardRecovery {
     }
 }
 
-/// Everything [`run_sharded`] reports alongside the merged `out` values.
-pub(crate) struct ShardRunOutcome {
-    pub(crate) stats: SimStats,
-    pub(crate) recovery: ShardRecovery,
-    /// Patterns actually streamed to the workers — `num_patterns` unless
-    /// a budget axis tripped at a chunk boundary.
-    pub(crate) streamed: u64,
-    /// The budget axis that stopped streaming early, if any.
-    pub(crate) tripped: Option<BudgetExceeded>,
+/// A budgeted coverage run's payload: the (possibly partial) coverage,
+/// the merged work counters, and the recovery record.
+#[derive(Debug, Clone)]
+pub struct RobustCoverage {
+    /// Detection results over the patterns actually simulated.
+    pub result: CoverageResult,
+    /// Merged machine-independent work counters.
+    pub stats: SimStats,
+    /// What recovery, if any, the run needed.
+    pub recovery: ShardRecovery,
+}
+
+/// A budgeted detection-counts run's payload.
+#[derive(Debug, Clone)]
+pub struct RobustCounts {
+    /// Per-fault detection counts over the patterns actually simulated.
+    pub counts: Vec<u64>,
+    /// Patterns actually simulated (the denominator for frequencies).
+    pub num_patterns: u64,
+    /// Merged machine-independent work counters.
+    pub stats: SimStats,
+    /// What recovery, if any, the run needed.
+    pub recovery: ShardRecovery,
 }
 
 /// Number of worker threads to use when the caller passes `threads = 0`:
@@ -122,10 +163,10 @@ const MIN_FAULTS_PER_SHARD: usize = 16;
 /// Resolves a requested thread count against a fault-list size:
 /// `0` becomes the machine's available parallelism capped so each
 /// auto-chosen shard gets at least a minimum number of faults; explicit
-/// counts are honored as given.  Results of the sharded engines are
-/// identical for every thread count — only the wall clock differs — so
-/// callers embedding the sharded engine (e.g. Monte-Carlo estimators)
-/// can use this to budget threads without changing outputs.
+/// counts are honored as given.  Driver results are identical for every
+/// thread count — only the wall clock differs — so callers embedding the
+/// driver (e.g. Monte-Carlo estimators) can use this to budget threads
+/// without changing outputs.
 pub fn recommended_threads(requested: usize, num_faults: usize) -> usize {
     if requested == 0 {
         available_threads()
@@ -136,26 +177,115 @@ pub fn recommended_threads(requested: usize, num_faults: usize) -> usize {
     }
 }
 
+/// What one fault accumulates over the pattern stream: its first
+/// detecting pattern (coverage) or its number of detecting patterns
+/// (counts).
+trait Tally: Copy + Default + Send {
+    /// Folds in one pass's detection lanes; `start` is the pattern index
+    /// of lane bit 0.
+    fn record<const W: usize>(&mut self, start: u64, lanes: &[u64; W]);
+}
+
+impl Tally for Option<u64> {
+    fn record<const W: usize>(&mut self, start: u64, lanes: &[u64; W]) {
+        if self.is_none() {
+            *self = first_set_bit(lanes).map(|bit| start + u64::from(bit));
+        }
+    }
+}
+
+impl Tally for u64 {
+    fn record<const W: usize>(&mut self, _start: u64, lanes: &[u64; W]) {
+        *self += u64::from(count_set_bits(lanes));
+    }
+}
+
+/// A shard worker: consumes the chunk stream for one fault sublist and
+/// returns one tally per sublist fault plus the shard's work counters.
+type Worker<'a, T> = dyn Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync + 'a;
+
+/// Dense-engine worker: one [`FaultSimulator`] per shard, one 64-pattern
+/// block per pass.
+fn dense_worker<T: Tally>(
+    circuit: &Circuit,
+    sublist: FaultList,
+    rx: Receiver<Arc<Chunk>>,
+    drop: bool,
+) -> (Vec<T>, SimStats) {
+    let mut sim = FaultSimulator::new(circuit, &sublist);
+    let mut worklist = FaultWorklist::full(sublist.len());
+    let mut local = vec![T::default(); sublist.len()];
+    'chunks: while let Ok(chunk) = rx.recv() {
+        let mut done = chunk.start;
+        for block in &chunk.blocks {
+            if drop && worklist.is_empty() {
+                // Hang up: the producer stops feeding this shard.
+                break 'chunks;
+            }
+            sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, drop, |i, w| {
+                local[i].record(done, &[w]);
+            });
+            done += u64::from(block.len);
+        }
+    }
+    (local, sim.stats())
+}
+
+/// Event-engine worker: one [`EventSimulator`] per shard over the
+/// broadcast chunks' `W`-word superblocks.
+///
+/// Superblock boundaries come from [`superblock_split`] — extend only
+/// across full blocks — and `CHUNK_BLOCKS` is a multiple of every
+/// supported width, so worker grouping coincides with
+/// [`SuperBlock::refill_draw`]'s grouping of the sequential stream.
+fn event_worker<const W: usize, T: Tally>(
+    circuit: &Circuit,
+    sublist: FaultList,
+    rx: Receiver<Arc<Chunk>>,
+    drop: bool,
+) -> (Vec<T>, SimStats) {
+    let mut sim = EventSimulator::<W>::new(circuit, &sublist);
+    let mut worklist = FaultWorklist::full(sublist.len());
+    let mut local = vec![T::default(); sublist.len()];
+    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
+    'chunks: while let Ok(chunk) = rx.recv() {
+        let mut done = chunk.start;
+        let mut idx = 0;
+        while idx < chunk.blocks.len() {
+            if drop && worklist.is_empty() {
+                // Hang up: the producer stops feeding this shard.
+                break 'chunks;
+            }
+            let take = superblock_split(&chunk.blocks[idx..], W);
+            sb.refill_from_blocks(&chunk.blocks[idx..idx + take]);
+            sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, drop, |i, w| {
+                local[i].record(done, &w);
+            });
+            done += u64::from(sb.len);
+            idx += take;
+        }
+    }
+    (local, sim.stats())
+}
+
 /// Draws blocks from `source` and broadcasts them to `senders` in bounded
 /// chunks until `num_patterns` patterns are out, every receiver hung up,
-/// or the budget (when given, with its canonical evals-per-pattern rate)
-/// trips at a chunk boundary.  Returns the patterns streamed and the
-/// tripped axis, if any.
+/// or `check_in` (called with the patterns streamed so far, at every
+/// chunk boundary) trips.  Returns the patterns streamed and the tripped
+/// axis, if any.
 fn stream_chunks(
     mut source: impl PatternSource,
     num_patterns: u64,
     mut senders: Vec<SyncSender<Arc<Chunk>>>,
-    budget: Option<(&Budget, u64)>,
+    check_in: impl Fn(u64) -> Result<(), BudgetExceeded>,
 ) -> (u64, Option<BudgetExceeded>) {
     let mut done = 0u64;
     while done < num_patterns && !senders.is_empty() {
-        if let Some((budget, evals_per_pattern)) = budget {
-            // Check-ins happen at chunk boundaries only, so a trip always
-            // leaves a well-formed prefix: every worker has seen exactly
-            // the chunks streamed so far.
-            if let Err(reason) = budget.check_in(done * evals_per_pattern, 0) {
-                return (done, Some(reason));
-            }
+        // Check-ins happen at chunk boundaries only, so a trip always
+        // leaves a well-formed prefix: every worker has seen exactly the
+        // chunks streamed so far.
+        if let Err(reason) = check_in(done) {
+            return (done, Some(reason));
         }
         let start = done;
         let mut blocks = Vec::with_capacity(CHUNK_BLOCKS);
@@ -181,462 +311,262 @@ fn replay_shard<T: Send>(
     sublist: FaultList,
     source: impl PatternSource,
     num_patterns: u64,
-    worker: &(impl Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync),
+    worker: &Worker<'_, T>,
 ) -> Option<(Vec<T>, SimStats)> {
     std::thread::scope(|scope| {
-        let (tx, rx): (SyncSender<Arc<Chunk>>, Receiver<Arc<Chunk>>) =
-            sync_channel(CHANNEL_DEPTH);
+        let (tx, rx) = sync_channel(CHANNEL_DEPTH);
         let handle = scope.spawn(move || worker(sublist, rx));
-        // No budget: the replay must reproduce the primary stream length
-        // exactly, and recovery is never cut short by a check-in.
-        stream_chunks(source, num_patterns, vec![tx], None);
+        // No check-ins: the replay must reproduce the primary stream
+        // length exactly, and recovery is never cut short by the budget.
+        stream_chunks(source, num_patterns, vec![tx], |_| Ok(()));
         handle.join().ok()
     })
 }
 
-/// The shared fan-out scaffold's configuration: what to simulate, how
-/// wide to fan out, and which budget (if any) bounds the pattern stream.
-pub(crate) struct ShardedRun<'a, S> {
-    pub(crate) circuit: &'a Circuit,
-    pub(crate) faults: &'a FaultList,
-    pub(crate) source: S,
-    pub(crate) num_patterns: u64,
-    pub(crate) threads: usize,
-    pub(crate) budget: Option<&'a Budget>,
-    /// Whether `fallback` is a genuinely different engine than `worker`
-    /// (records [`DegradeStep::EventToDense`] on the second replay).
-    pub(crate) fallback_is_distinct: bool,
+/// The merged outcome of one driver run.
+struct Driven<T> {
+    values: Vec<T>,
+    /// Patterns actually streamed — the eval clip unless a budget axis
+    /// tripped at a chunk boundary.
+    streamed: u64,
+    stats: SimStats,
+    recovery: ShardRecovery,
 }
 
-/// The shared fan-out scaffold: partitions the fault list into
-/// cone-locality-aware shards, spawns one scoped worker per shard with
-/// its own bounded chunk channel, streams the pattern blocks, and merges
-/// each worker's per-shard vector back into `out` by fault id.
-///
-/// `worker` receives the shard's fault sublist and its chunk receiver and
-/// returns one result per shard fault (in sublist order) plus the shard's
-/// work counters.
+/// The driver: validates `opts`, resolves the eval clip and thread count,
+/// fans the fault list out over shard workers running the selected inner
+/// loop, streams the pattern blocks under `budget`, and merges each
+/// worker's per-shard tallies back by fault id.
 ///
 /// # Panic isolation
 ///
 /// A worker panic (or an injected spawn/merge failure from an armed
-/// fail-point session) no longer aborts the run: the poisoned shard is
+/// fail-point session) does not abort the run: the poisoned shard is
 /// requeued for serial replay against a fresh clone of the pattern
-/// source — first on the same engine, then once more on the `fallback`
-/// (dense) engine — which reproduces the lost results bit-identically,
-/// because every worker consumes the same deterministic stream.  Shards
-/// that fail every retry surface their faults in
-/// [`ShardRecovery::unresolved`] instead of panicking.
-pub(crate) fn run_sharded<T: Send, S: PatternSource + Clone>(
-    run: ShardedRun<'_, S>,
-    out: &mut [T],
-    worker: impl Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync,
-    fallback: impl Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync,
-) -> ShardRunOutcome {
-    let ShardedRun {
-        circuit,
-        faults,
-        source,
-        num_patterns,
-        threads,
-        budget,
-        fallback_is_distinct,
-    } = run;
-    let partition = FaultPartition::cone_locality(circuit, faults, threads);
-    // Canonical eval unit: one fault-free node evaluation per pattern,
-    // making the eval budget a machine- and thread-count-independent
-    // measure of the pattern stream.
-    let evals_per_pattern = (circuit.num_nodes() as u64).max(1);
-    let mut stats = SimStats::default();
-    let mut recovery = ShardRecovery::default();
-    let replay_source = source.clone();
-    let mut poisoned: Vec<usize> = Vec::new();
-    let (streamed, tripped) = std::thread::scope(|scope| {
-        let worker = &worker;
-        let mut senders = Vec::with_capacity(partition.num_shards());
-        let mut handles = Vec::with_capacity(partition.num_shards());
-        for s in 0..partition.num_shards() {
-            let (tx, rx): (SyncSender<Arc<Chunk>>, Receiver<Arc<Chunk>>) =
-                sync_channel(CHANNEL_DEPTH);
-            senders.push(tx);
-            let sublist = partition.sublist(faults, s);
-            handles.push(
-                scope.spawn(move || -> Result<(Vec<T>, SimStats), InjectedFailure> {
-                    failpoint::hit(sites::WORKER_SPAWN)?;
-                    Ok(worker(sublist, rx))
-                }),
-            );
-        }
-        let streamed = stream_chunks(
-            source,
-            num_patterns,
-            senders,
-            budget.map(|b| (b, evals_per_pattern)),
-        );
-        for (s, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                // A real worker panic: isolate and requeue the shard.
-                Err(_panic) => {
-                    recovery.worker_panics += 1;
-                    poisoned.push(s);
-                }
-                // An injected spawn failure: same recovery, no unwind.
-                Ok(Err(_injected)) => poisoned.push(s),
-                Ok(Ok((local, local_stats))) => {
-                    // The merge fail point may be armed to panic; catch it
-                    // so an injected merge failure degrades to a shard
-                    // replay instead of aborting the run (safe code only —
-                    // the workspace forbids unsafe, and the registry lock
-                    // tolerates poisoning).
-                    match catch_unwind(AssertUnwindSafe(|| failpoint::hit(sites::SHARD_MERGE))) {
-                        Ok(Ok(())) => {
-                            stats.merge(&local_stats);
-                            for (value, &id) in local.into_iter().zip(partition.shard(s)) {
-                                out[id.index()] = value;
-                            }
-                        }
-                        Err(_panic) => {
-                            recovery.worker_panics += 1;
-                            poisoned.push(s);
-                        }
-                        Ok(Err(_injected)) => poisoned.push(s),
-                    }
-                }
-            }
-        }
-        streamed
-    });
-    for s in poisoned {
-        recovery
-            .ladder
-            .record(DegradeStep::ShardRequeue, format!("shard {s} poisoned"));
-        let mut recovered = false;
-        for attempt in 0..2 {
-            recovery.replays += 1;
-            if attempt == 1 && fallback_is_distinct {
-                recovery.ladder.record(
-                    DegradeStep::EventToDense,
-                    format!("shard {s} second replay"),
-                );
-            }
-            let sublist = partition.sublist(faults, s);
-            let replayed = if attempt == 0 {
-                replay_shard(sublist, replay_source.clone(), streamed, &worker)
-            } else {
-                replay_shard(sublist, replay_source.clone(), streamed, &fallback)
-            };
-            if let Some((local, local_stats)) = replayed {
-                stats.merge(&local_stats);
-                for (value, &id) in local.into_iter().zip(partition.shard(s)) {
-                    out[id.index()] = value;
-                }
-                recovered = true;
-                break;
-            }
-            recovery.worker_panics += 1;
-        }
-        if !recovered {
-            recovery.unresolved.extend(partition.shard(s).iter().copied());
-        }
-    }
-    ShardRunOutcome {
-        stats,
-        recovery,
-        streamed,
-        tripped,
-    }
-}
-
-/// Sharded [`fault_coverage`]: identical results, fanned out over
-/// `threads` worker threads (`0` = capped available parallelism, see
-/// [`recommended_threads`]).
-///
-/// The fault list is split into cone-locality-aware shards, one worker
-/// per shard; see the module docs for the design.  `threads = 1` falls
-/// back to the serial engine.  Results are bit-identical to
-/// [`fault_coverage`] for every thread count, because every worker
-/// consumes the same deterministic pattern stream.
-pub fn fault_coverage_sharded(
+/// source — first on the same engine, then once more on the dense engine
+/// — which reproduces the lost results bit-identically, because every
+/// worker consumes the same deterministic stream.  Shards that fail every
+/// retry surface their faults in [`ShardRecovery::unresolved`] instead of
+/// panicking.
+// One argument past the lint's threshold: the public entry points'
+// arguments plus nothing else.
+#[allow(clippy::too_many_arguments)]
+fn drive<T: Tally>(
     circuit: &Circuit,
     faults: &FaultList,
     source: impl PatternSource + Clone,
     num_patterns: u64,
     drop: bool,
     threads: usize,
-) -> CoverageResult {
-    fault_coverage_sharded_opts(
+    opts: SimOptions,
+    budget: &Budget,
+) -> RunOutcome<Driven<T>> {
+    opts.validate().expect("invalid SimOptions");
+    // Canonical eval unit: one fault-free node evaluation per pattern.
+    let evals_per_pattern = (circuit.num_nodes() as u64).max(1);
+    let target = budget.max_evals().map_or(num_patterns, |max| {
+        (max / evals_per_pattern).min(num_patterns)
+    });
+    let mut driven = Driven {
+        values: vec![T::default(); faults.len()],
+        streamed: target,
+        stats: SimStats::default(),
+        recovery: ShardRecovery::default(),
+    };
+    let mut tripped = None;
+    if !faults.is_empty() {
+        let primary: &Worker<'_, T> = &|sublist, rx| match opts.engine {
+            SimEngineKind::Dense => dense_worker(circuit, sublist, rx, drop),
+            SimEngineKind::Event => with_block_words!(opts.block_words, W => {
+                event_worker::<W, T>(circuit, sublist, rx, drop)
+            }),
+        };
+        let fallback: &Worker<'_, T> = &|sublist, rx| dense_worker(circuit, sublist, rx, drop);
+        let threads = recommended_threads(threads, faults.len());
+        let partition = FaultPartition::cone_locality(circuit, faults, threads);
+        let merge = |driven: &mut Driven<T>, s: usize, local: Vec<T>, stats: &SimStats| {
+            driven.stats.merge(stats);
+            for (value, &id) in local.into_iter().zip(partition.shard(s)) {
+                driven.values[id.index()] = value;
+            }
+        };
+        let replay_source = source.clone();
+        let mut poisoned: Vec<usize> = Vec::new();
+        let (streamed, trip) = std::thread::scope(|scope| {
+            let mut senders = Vec::with_capacity(partition.num_shards());
+            let mut handles = Vec::with_capacity(partition.num_shards());
+            for s in 0..partition.num_shards() {
+                let (tx, rx) = sync_channel(CHANNEL_DEPTH);
+                senders.push(tx);
+                let sublist = partition.sublist(faults, s);
+                handles.push(scope.spawn(
+                    move || -> Result<(Vec<T>, SimStats), InjectedFailure> {
+                        failpoint::hit(sites::WORKER_SPAWN)?;
+                        Ok(primary(sublist, rx))
+                    },
+                ));
+            }
+            let outcome = stream_chunks(source, target, senders, |done| {
+                budget.check_in(done * evals_per_pattern, 0)
+            });
+            for (s, handle) in handles.into_iter().enumerate() {
+                match handle.join() {
+                    // A real worker panic: isolate and requeue the shard.
+                    Err(_panic) => {
+                        driven.recovery.worker_panics += 1;
+                        poisoned.push(s);
+                    }
+                    // An injected spawn failure: same recovery, no unwind.
+                    Ok(Err(_injected)) => poisoned.push(s),
+                    Ok(Ok((local, local_stats))) => {
+                        // The merge fail point may be armed to panic; catch it
+                        // so an injected merge failure degrades to a shard
+                        // replay instead of aborting the run (safe code only —
+                        // the workspace forbids unsafe, and the registry lock
+                        // tolerates poisoning).
+                        match catch_unwind(AssertUnwindSafe(|| failpoint::hit(sites::SHARD_MERGE)))
+                        {
+                            Ok(Ok(())) => merge(&mut driven, s, local, &local_stats),
+                            Err(_panic) => {
+                                driven.recovery.worker_panics += 1;
+                                poisoned.push(s);
+                            }
+                            Ok(Err(_injected)) => poisoned.push(s),
+                        }
+                    }
+                }
+            }
+            outcome
+        });
+        for s in poisoned {
+            driven
+                .recovery
+                .ladder
+                .record(DegradeStep::ShardRequeue, format!("shard {s} poisoned"));
+            let mut recovered = false;
+            for (attempt, worker) in [primary, fallback].into_iter().enumerate() {
+                driven.recovery.replays += 1;
+                if attempt == 1 && opts.engine == SimEngineKind::Event {
+                    driven.recovery.ladder.record(
+                        DegradeStep::EventToDense,
+                        format!("shard {s} second replay"),
+                    );
+                }
+                let sublist = partition.sublist(faults, s);
+                if let Some((local, local_stats)) =
+                    replay_shard(sublist, replay_source.clone(), streamed, worker)
+                {
+                    merge(&mut driven, s, local, &local_stats);
+                    recovered = true;
+                    break;
+                }
+                driven.recovery.worker_panics += 1;
+            }
+            if !recovered {
+                driven
+                    .recovery
+                    .unresolved
+                    .extend(partition.shard(s).iter().copied());
+            }
+        }
+        driven.streamed = streamed;
+        tripped = trip;
+    }
+    let progress = Progress {
+        done: driven.streamed,
+        total: Some(num_patterns),
+        unit: "patterns",
+    };
+    // A runtime budget trip wins; otherwise an upfront eval clip reports
+    // the eval axis; otherwise the run is complete.
+    match tripped.or_else(|| (target < num_patterns).then_some(BudgetExceeded::Evals)) {
+        Some(reason) => RunOutcome::Interrupted {
+            partial: driven,
+            reason,
+            progress,
+        },
+        None => RunOutcome::Complete(driven),
+    }
+}
+
+/// Weighted-random fault coverage on the driver: first-detection indices
+/// over as many of `num_patterns` patterns as `budget` admits, with
+/// structured shard recovery.
+///
+/// `threads = 0` resolves via [`recommended_threads`]; `threads = 1` runs
+/// one shard.  Results are bit-identical to the dense reference
+/// [`crate::fault_coverage`] for every thread count, engine and width
+/// (the property tests in this module prove it); pass
+/// [`Budget::unlimited`] for an unbounded run.
+///
+/// # Panics
+///
+/// Panics if `opts` fails [`SimOptions::validate`] (programmer error —
+/// the CLI validates engine flags before reaching this point).
+// One argument past the lint's threshold: engine options and budget
+// both belong to the call.
+#[allow(clippy::too_many_arguments)]
+pub fn fault_coverage_robust(
+    circuit: &Circuit,
+    faults: &FaultList,
+    source: impl PatternSource + Clone,
+    num_patterns: u64,
+    drop: bool,
+    threads: usize,
+    opts: SimOptions,
+    budget: &Budget,
+) -> RunOutcome<RobustCoverage> {
+    drive(
         circuit,
         faults,
         source,
         num_patterns,
         drop,
         threads,
-        SimOptions::dense(),
+        opts,
+        budget,
     )
-    .0
+    .map(|d| RobustCoverage {
+        result: CoverageResult::new(d.values, d.streamed),
+        stats: d.stats,
+        recovery: d.recovery,
+    })
 }
 
-/// [`fault_coverage_sharded`] with a configurable inner loop
-/// ([`SimOptions`]): each shard worker runs the selected engine (dense
-/// cone walk or event-driven superblocks).  Results are bit-identical
-/// across engines, widths, and thread counts; the merged work counters
-/// are returned alongside.
+/// Per-fault detection counts (no dropping) on the driver: the
+/// Monte-Carlo hot path of the paper's loop, whose frequencies feed the
+/// `p_f(X)` estimates.  See [`fault_coverage_robust`] for the budget,
+/// thread and recovery semantics; counts are bit-identical to
+/// [`crate::detection_counts`].
 ///
 /// # Panics
 ///
-/// Panics if `opts` fails [`SimOptions::validate`], or if a shard worker
-/// panicked repeatedly and its faults could not be recovered by bounded
-/// serial replay (see [`ShardRecovery`]; the budgeted
-/// [`crate::robust::fault_coverage_robust`] entry point reports the same
-/// situation structurally instead).
-pub fn fault_coverage_sharded_opts(
+/// Panics if `opts` fails [`SimOptions::validate`].
+pub fn detection_counts_robust(
     circuit: &Circuit,
     faults: &FaultList,
     source: impl PatternSource + Clone,
     num_patterns: u64,
-    drop: bool,
     threads: usize,
     opts: SimOptions,
-) -> (CoverageResult, SimStats) {
-    let threads = recommended_threads(threads, faults.len());
-    if threads <= 1 || faults.len() <= 1 {
-        return fault_coverage_opts(circuit, faults, source, num_patterns, drop, opts);
-    }
-    opts.validate().expect("invalid SimOptions");
-    let mut detected_at: Vec<Option<u64>> = vec![None; faults.len()];
-    let outcome = run_sharded(
-        ShardedRun {
-            circuit,
-            faults,
-            source,
-            num_patterns,
-            threads,
-            budget: None,
-            fallback_is_distinct: opts.engine == SimEngineKind::Event,
-        },
-        &mut detected_at,
-        |sublist, rx| match opts.engine {
-            SimEngineKind::Dense => coverage_worker_dense(circuit, sublist, rx, drop),
-            SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-                coverage_worker_event::<W>(circuit, sublist, rx, drop)
-            }),
-        },
-        |sublist, rx| coverage_worker_dense(circuit, sublist, rx, drop),
-    );
-    assert!(
-        outcome.recovery.fully_recovered(),
-        "fault-sim shard recovery failed: {} faults unresolved after bounded replays \
-         ({} worker panics)",
-        outcome.recovery.unresolved.len(),
-        outcome.recovery.worker_panics,
-    );
-    (CoverageResult::new(detected_at, num_patterns), outcome.stats)
-}
-
-pub(crate) fn coverage_worker_dense(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-    drop: bool,
-) -> (Vec<Option<u64>>, SimStats) {
-    let mut sim = FaultSimulator::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local: Vec<Option<u64>> = vec![None; sublist.len()];
-    'chunks: while let Ok(chunk) = rx.recv() {
-        let mut done = chunk.start;
-        for block in &chunk.blocks {
-            if drop && worklist.is_empty() {
-                // Hang up: the producer stops feeding this shard.
-                break 'chunks;
-            }
-            sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, drop, |i, w| {
-                if local[i].is_none() {
-                    local[i] = Some(done + u64::from(w.trailing_zeros()));
-                }
-            });
-            done += u64::from(block.len);
-        }
-    }
-    let stats = sim.stats();
-    (local, stats)
-}
-
-/// Groups `blocks` into `W`-wide superblocks (refilling `sb` in place)
-/// and invokes `f` on each; `f` returning `false` stops early.
-///
-/// The one copy of the bit-identity-critical grouping rule shared by the
-/// event workers: boundaries come from [`superblock_split`] — extend only
-/// across full blocks — and `CHUNK_BLOCKS` is a multiple of every
-/// supported width, so worker grouping coincides with the serial
-/// engine's [`SuperBlock::refill_draw`] stream grouping.
-fn for_each_superblock<const W: usize>(
-    blocks: &[PatternBlock],
-    sb: &mut SuperBlock<W>,
-    mut f: impl FnMut(&SuperBlock<W>) -> bool,
-) {
-    let mut idx = 0;
-    while idx < blocks.len() {
-        let take = superblock_split(&blocks[idx..], W);
-        sb.refill_from_blocks(&blocks[idx..idx + take]);
-        if !f(sb) {
-            return;
-        }
-        idx += take;
-    }
-}
-
-/// Event-engine coverage worker: one [`EventSimulator`] per shard over
-/// the broadcast chunks' superblocks.
-pub(crate) fn coverage_worker_event<const W: usize>(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-    drop: bool,
-) -> (Vec<Option<u64>>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local: Vec<Option<u64>> = vec![None; sublist.len()];
-    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
-    while let Ok(chunk) = rx.recv() {
-        let mut done = chunk.start;
-        let mut drained = false;
-        for_each_superblock(&chunk.blocks, &mut sb, |sb| {
-            if drop && worklist.is_empty() {
-                drained = true;
-                return false;
-            }
-            sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, drop, |i, w| {
-                if local[i].is_none() {
-                    let bit = first_set_bit(&w).expect("on_detect implies a set bit");
-                    local[i] = Some(done + u64::from(bit));
-                }
-            });
-            done += u64::from(sb.len);
-            true
-        });
-        if drained {
-            // Hang up: the producer stops feeding this shard.
-            break;
-        }
-    }
-    let stats = sim.stats();
-    (local, stats)
-}
-
-/// Sharded [`detection_counts`]: identical counts, fanned out over
-/// `threads` worker threads (`0` = capped available parallelism, see
-/// [`recommended_threads`]).
-///
-/// This is the Monte-Carlo hot path of the paper's loop: the per-fault
-/// detection frequencies it returns feed the `p_f(X)` estimates of the
-/// probability-refinement sweeps.
-pub fn detection_counts_sharded(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource + Clone,
-    num_patterns: u64,
-    threads: usize,
-) -> Vec<u64> {
-    detection_counts_sharded_opts(
+    budget: &Budget,
+) -> RunOutcome<RobustCounts> {
+    drive(
         circuit,
         faults,
         source,
         num_patterns,
+        false,
         threads,
-        SimOptions::dense(),
+        opts,
+        budget,
     )
-    .0
-}
-
-/// [`detection_counts_sharded`] with a configurable inner loop
-/// ([`SimOptions`]); identical counts for every engine/width/thread
-/// combination, merged work counters alongside.
-///
-/// # Panics
-///
-/// Panics if `opts` fails [`SimOptions::validate`], or if shard recovery
-/// was exhausted (see [`fault_coverage_sharded_opts`]).
-pub fn detection_counts_sharded_opts(
-    circuit: &Circuit,
-    faults: &FaultList,
-    source: impl PatternSource + Clone,
-    num_patterns: u64,
-    threads: usize,
-    opts: SimOptions,
-) -> (Vec<u64>, SimStats) {
-    let threads = recommended_threads(threads, faults.len());
-    if threads <= 1 || faults.len() <= 1 {
-        return detection_counts_opts(circuit, faults, source, num_patterns, opts);
-    }
-    opts.validate().expect("invalid SimOptions");
-    let mut counts = vec![0u64; faults.len()];
-    let outcome = run_sharded(
-        ShardedRun {
-            circuit,
-            faults,
-            source,
-            num_patterns,
-            threads,
-            budget: None,
-            fallback_is_distinct: opts.engine == SimEngineKind::Event,
-        },
-        &mut counts,
-        |sublist, rx| match opts.engine {
-            SimEngineKind::Dense => counts_worker_dense(circuit, sublist, rx),
-            SimEngineKind::Event => with_block_words!(opts.block_words, W => {
-                counts_worker_event::<W>(circuit, sublist, rx)
-            }),
-        },
-        |sublist, rx| counts_worker_dense(circuit, sublist, rx),
-    );
-    assert!(
-        outcome.recovery.fully_recovered(),
-        "fault-sim shard recovery failed: {} faults unresolved after bounded replays \
-         ({} worker panics)",
-        outcome.recovery.unresolved.len(),
-        outcome.recovery.worker_panics,
-    );
-    (counts, outcome.stats)
-}
-
-pub(crate) fn counts_worker_dense(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-) -> (Vec<u64>, SimStats) {
-    let mut sim = FaultSimulator::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local = vec![0u64; sublist.len()];
-    while let Ok(chunk) = rx.recv() {
-        for block in &chunk.blocks {
-            sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, false, |i, w| {
-                local[i] += u64::from(w.count_ones())
-            });
-        }
-    }
-    let stats = sim.stats();
-    (local, stats)
-}
-
-pub(crate) fn counts_worker_event<const W: usize>(
-    circuit: &Circuit,
-    sublist: FaultList,
-    rx: Receiver<Arc<Chunk>>,
-) -> (Vec<u64>, SimStats) {
-    let mut sim = EventSimulator::<W>::new(circuit, &sublist);
-    let mut worklist = FaultWorklist::full(sublist.len());
-    let mut local = vec![0u64; sublist.len()];
-    let mut sb = SuperBlock::<W>::empty(circuit.num_inputs());
-    while let Ok(chunk) = rx.recv() {
-        for_each_superblock(&chunk.blocks, &mut sb, |sb| {
-            sim.detect_superblock_worklist(&sb.words, sb.mask(), &mut worklist, false, |i, w| {
-                local[i] += u64::from(count_set_bits(&w))
-            });
-            true
-        });
-    }
-    let stats = sim.stats();
-    (local, stats)
+    .map(|d| RobustCounts {
+        counts: d.values,
+        num_patterns: d.streamed,
+        stats: d.stats,
+        recovery: d.recovery,
+    })
 }
 
 #[cfg(test)]
@@ -644,6 +574,8 @@ mod tests {
     use super::*;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::WeightedPatterns;
+    use crate::test_support::{counts, coverage};
+    use std::time::Duration;
     use wrt_circuit::parse_bench;
 
     fn adder() -> Circuit {
@@ -658,7 +590,7 @@ mod tests {
     #[test]
     fn sharded_coverage_matches_serial_bit_for_bit() {
         let c = adder();
-        let faults = wrt_fault::FaultList::full(&c);
+        let faults = FaultList::full(&c);
         for drop in [false, true] {
             let serial = fault_coverage(
                 &c,
@@ -667,20 +599,23 @@ mod tests {
                 500,
                 drop,
             );
-            for threads in [2, 3, 4, 16] {
-                let sharded = fault_coverage_sharded(
-                    &c,
-                    &faults,
-                    WeightedPatterns::equiprobable(3, 11),
-                    500,
-                    drop,
-                    threads,
-                );
-                assert_eq!(
-                    serial.detected_at(),
-                    sharded.detected_at(),
-                    "drop = {drop}, threads = {threads}"
-                );
+            for threads in [1, 2, 3, 4, 16] {
+                for opts in [SimOptions::dense(), SimOptions::event(4)] {
+                    let (sharded, _) = coverage(
+                        &c,
+                        &faults,
+                        WeightedPatterns::equiprobable(3, 11),
+                        500,
+                        drop,
+                        threads,
+                        opts,
+                    );
+                    assert_eq!(
+                        serial.detected_at(),
+                        sharded.detected_at(),
+                        "drop = {drop}, threads = {threads}, {opts:?}"
+                    );
+                }
             }
         }
     }
@@ -688,16 +623,16 @@ mod tests {
     #[test]
     fn sharded_counts_match_serial() {
         let c = adder();
-        let faults = wrt_fault::FaultList::full(&c);
-        let serial =
-            detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 23), 1000);
+        let faults = FaultList::full(&c);
+        let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 23), 1000);
         for threads in [0, 1, 2, 5, 64] {
-            let sharded = detection_counts_sharded(
+            let (sharded, _) = counts(
                 &c,
                 &faults,
                 WeightedPatterns::equiprobable(3, 23),
                 1000,
                 threads,
+                SimOptions::dense(),
             );
             assert_eq!(serial, sharded, "threads = {threads}");
         }
@@ -706,30 +641,46 @@ mod tests {
     #[test]
     fn single_fault_and_empty_lists_are_fine() {
         let c = adder();
-        let one = wrt_fault::FaultList::from_faults(vec![wrt_fault::Fault::output(
+        let one = FaultList::from_faults(vec![wrt_fault::Fault::output(
             c.node_id("s").unwrap(),
             false,
         )]);
-        let r = fault_coverage_sharded(
+        let (r, _) = coverage(
             &c,
             &one,
             WeightedPatterns::equiprobable(3, 1),
             128,
             true,
             4,
+            SimOptions::dense(),
         );
         assert_eq!(r.num_faults(), 1);
-        let empty = wrt_fault::FaultList::from_faults(vec![]);
-        let r = fault_coverage_sharded(
+        let empty = FaultList::from_faults(vec![]);
+        let (r, _) = coverage(
             &c,
             &empty,
             WeightedPatterns::equiprobable(3, 1),
             128,
             true,
             4,
+            SimOptions::dense(),
         );
         assert_eq!(r.num_faults(), 0);
         assert_eq!(r.coverage(), 1.0);
+        // Zero patterns: a complete, empty run.
+        let faults = FaultList::full(&c);
+        let (r, stats) = coverage(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 1),
+            0,
+            true,
+            2,
+            SimOptions::event(4),
+        );
+        assert_eq!(r.num_patterns(), 0);
+        assert!(r.detected_at().iter().all(Option::is_none));
+        assert_eq!(stats, SimStats::default());
     }
 
     #[test]
@@ -747,70 +698,223 @@ mod tests {
     fn more_patterns_than_one_chunk() {
         // > CHUNK_BLOCKS * 64 patterns forces several broadcast chunks.
         let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n").unwrap();
-        let faults = wrt_fault::FaultList::full(&c);
+        let faults = FaultList::full(&c);
         let n = (CHUNK_BLOCKS as u64) * 64 + 321;
         let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(2, 7), n);
-        let sharded = detection_counts_sharded(
+        for threads in [1, 3] {
+            let (sharded, _) = counts(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(2, 7),
+                n,
+                threads,
+                SimOptions::event(16),
+            );
+            assert_eq!(serial, sharded, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn unlimited_budget_matches_legacy_bit_for_bit() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let legacy = fault_coverage(
             &c,
             &faults,
-            WeightedPatterns::equiprobable(2, 7),
-            n,
-            3,
+            WeightedPatterns::equiprobable(3, 11),
+            500,
+            true,
         );
-        assert_eq!(serial, sharded);
+        for threads in [1, 2, 4] {
+            for opts in [SimOptions::dense(), SimOptions::event(4)] {
+                let (robust, _) = coverage(
+                    &c,
+                    &faults,
+                    WeightedPatterns::equiprobable(3, 11),
+                    500,
+                    true,
+                    threads,
+                    opts,
+                );
+                assert_eq!(legacy.detected_at(), robust.detected_at());
+            }
+        }
+    }
+
+    #[test]
+    fn eval_budget_resolves_to_a_deterministic_pattern_clip() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let nodes = c.num_nodes() as u64;
+        // Budget for exactly 100 patterns of canonical work.
+        let budget = Budget::unlimited().with_max_evals(100 * nodes);
+        let clipped = fault_coverage(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            100,
+            false,
+        );
+        let mut partials = Vec::new();
+        for threads in [1, 2, 3, 8] {
+            for opts in [SimOptions::dense(), SimOptions::event(2)] {
+                let outcome = fault_coverage_robust(
+                    &c,
+                    &faults,
+                    WeightedPatterns::equiprobable(3, 5),
+                    100_000,
+                    false,
+                    threads,
+                    opts,
+                    &budget,
+                );
+                assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+                let rc = outcome.into_value();
+                // Identical partial result across thread counts and
+                // engines: exactly the first 100 patterns.
+                assert_eq!(rc.result.detected_at(), clipped.detected_at());
+                partials.push(rc.result.detected_at().to_vec());
+            }
+        }
+        assert!(partials.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn eval_budget_smaller_than_one_pattern_yields_empty_partial() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        // Fewer evals than one pattern costs: zero patterns simulated.
+        let budget = Budget::unlimited().with_max_evals(1);
+        let outcome = detection_counts_robust(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            1000,
+            2,
+            SimOptions::dense(),
+            &budget,
+        );
+        assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+        let rc = outcome.into_value();
+        assert_eq!(rc.num_patterns, 0);
+        assert!(rc.counts.iter().all(|&n| n == 0));
+    }
+
+    #[test]
+    fn zero_time_limit_interrupts_with_empty_partial() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let budget = Budget::unlimited().with_time_limit(Duration::ZERO);
+        for opts in [SimOptions::dense(), SimOptions::event(1)] {
+            let outcome = fault_coverage_robust(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 5),
+                1000,
+                true,
+                2,
+                opts,
+                &budget,
+            );
+            assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Deadline));
+            let rc = outcome.into_value();
+            assert_eq!(rc.result.num_patterns(), 0);
+            assert!(rc.result.detected_at().iter().all(Option::is_none));
+        }
+    }
+
+    #[test]
+    fn cancellation_interrupts_at_the_next_chunk_boundary() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let mut budget = Budget::unlimited();
+        let token = budget.cancel_token();
+        token.store(true, std::sync::atomic::Ordering::Relaxed);
+        let outcome = fault_coverage_robust(
+            &c,
+            &faults,
+            WeightedPatterns::equiprobable(3, 5),
+            1000,
+            true,
+            2,
+            SimOptions::dense(),
+            &budget,
+        );
+        assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Cancelled));
+    }
+
+    #[test]
+    fn empty_fault_list_is_complete_and_clean() {
+        let c = adder();
+        let empty = FaultList::from_faults(vec![]);
+        let outcome = fault_coverage_robust(
+            &c,
+            &empty,
+            WeightedPatterns::equiprobable(3, 1),
+            64,
+            true,
+            4,
+            SimOptions::dense(),
+            &Budget::unlimited(),
+        );
+        assert!(outcome.is_complete());
+        let rc = outcome.into_value();
+        assert_eq!(rc.result.num_faults(), 0);
+        assert!(rc.recovery.is_clean());
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::event::SUPPORTED_BLOCK_WORDS;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::WeightedPatterns;
-    use crate::test_support::arb_circuit;
+    use crate::test_support::{arb_circuit, counts, coverage};
     use proptest::prelude::*;
-    use wrt_fault::FaultList;
+
+    /// Engine index 0 is the dense inner loop; 1..=5 the event inner loop
+    /// at each supported superblock width.
+    fn engine(idx: usize) -> SimOptions {
+        if idx == 0 {
+            SimOptions::dense()
+        } else {
+            SimOptions::event(SUPPORTED_BLOCK_WORDS[idx - 1])
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The sharded engine is bit-identical to the serial one —
+        /// The driver is bit-identical to the dense reference —
         /// `detected_at` and `counts` — across random circuits, weights,
-        /// thread/shard counts (including shards > faults and 1 thread),
-        /// pattern counts, and with/without fault dropping.
+        /// pattern counts and drop modes, for both inner loops at every
+        /// superblock width and at 1, 2 and more threads (shards > faults
+        /// included).
         #[test]
         fn sharded_is_bit_identical_to_serial(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
-            threads in 1usize..9,
+            many_threads in 3usize..9,
             seed in 0u64..1_000,
-            patterns in 1u64..400,
+            patterns in 1u64..700,
             drop in any::<bool>(),
         ) {
             let faults = FaultList::full(&circuit);
-
-            let serial = fault_coverage(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop,
-            );
-            let sharded = fault_coverage_sharded(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns, drop, threads,
-            );
-            prop_assert_eq!(serial.detected_at(), sharded.detected_at());
-
-            let counts = detection_counts(
-                &circuit, &faults,
-                WeightedPatterns::new(weights.clone(), seed),
-                patterns,
-            );
-            let counts_sharded = detection_counts_sharded(
-                &circuit, &faults,
-                WeightedPatterns::new(weights, seed),
-                patterns, threads,
-            );
-            prop_assert_eq!(counts, counts_sharded);
+            let source = || WeightedPatterns::new(weights.clone(), seed);
+            let serial = fault_coverage(&circuit, &faults, source(), patterns, drop);
+            let serial_counts = detection_counts(&circuit, &faults, source(), patterns);
+            for engine_idx in 0..6 {
+                for threads in [1, 2, many_threads] {
+                    let opts = engine(engine_idx);
+                    let (sharded, _) =
+                        coverage(&circuit, &faults, source(), patterns, drop, threads, opts);
+                    prop_assert_eq!(serial.detected_at(), sharded.detected_at());
+                    let (sharded_counts, _) =
+                        counts(&circuit, &faults, source(), patterns, threads, opts);
+                    prop_assert_eq!(&serial_counts, &sharded_counts);
+                }
+            }
         }
 
         /// Shard counts far beyond the fault count degenerate gracefully
@@ -819,6 +923,7 @@ mod proptests {
         fn oversharding_is_identical(
             circuit in arb_circuit(),
             seed in 0u64..100,
+            engine_idx in 0usize..6,
         ) {
             let faults = FaultList::primary_inputs(&circuit);
             let serial = fault_coverage(
@@ -826,12 +931,59 @@ mod proptests {
                 WeightedPatterns::equiprobable(4, seed),
                 200, true,
             );
-            let sharded = fault_coverage_sharded(
+            let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                200, true, faults.len() * 3 + 7,
+                200, true, faults.len() * 3 + 7, engine(engine_idx),
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
+        }
+
+        /// An eval-budget interruption yields the bit-identical partial
+        /// at 1, 2 and 5 threads and on both inner loops: exactly the
+        /// dense reference over the clipped pattern prefix.
+        #[test]
+        fn eval_budget_partials_are_identical_across_thread_counts(
+            circuit in arb_circuit(),
+            seed in 0u64..1_000,
+            clip in 0u64..600,
+            engine_idx in 0usize..6,
+            drop in any::<bool>(),
+        ) {
+            let faults = FaultList::full(&circuit);
+            let nodes = circuit.num_nodes() as u64;
+            let budget = Budget::unlimited().with_max_evals(clip * nodes);
+            let reference = fault_coverage(
+                &circuit, &faults,
+                WeightedPatterns::equiprobable(4, seed),
+                clip, drop,
+            );
+            let reference_counts = detection_counts(
+                &circuit, &faults,
+                WeightedPatterns::equiprobable(4, seed),
+                clip,
+            );
+            for threads in [1, 2, 5] {
+                let outcome = fault_coverage_robust(
+                    &circuit, &faults,
+                    WeightedPatterns::equiprobable(4, seed),
+                    600, drop, threads, engine(engine_idx), &budget,
+                );
+                prop_assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+                let rc = outcome.into_value();
+                prop_assert_eq!(rc.result.num_patterns(), clip);
+                prop_assert_eq!(rc.result.detected_at(), reference.detected_at());
+
+                let outcome = detection_counts_robust(
+                    &circuit, &faults,
+                    WeightedPatterns::equiprobable(4, seed),
+                    600, threads, engine(engine_idx), &budget,
+                );
+                prop_assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
+                let rc = outcome.into_value();
+                prop_assert_eq!(rc.num_patterns, clip);
+                prop_assert_eq!(&rc.counts, &reference_counts);
+            }
         }
     }
 }

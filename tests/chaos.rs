@@ -31,10 +31,7 @@ use wrt::estimate::DegradingEngine;
 use wrt::prelude::*;
 use wrt::robust::failpoint::{self, sites};
 use wrt::robust::{CheckpointError, FailAction};
-use wrt::sim::{
-    fault_coverage_robust, fault_coverage_tiled_robust, BatchMode, CoverageResult, SimOptions,
-    TileOptions,
-};
+use wrt::sim::{fault_coverage_robust, CoverageResult, SimOptions};
 
 /// Patterns per simulation drill: enough chunks that every skip count in
 /// the storm lands before the stream ends.
@@ -138,67 +135,6 @@ fn shard_drill(site: &'static str, action: FailAction, skip: u64, must_fire: boo
     } else {
         assert!(rc.recovery.is_clean());
         assert_eq!(session.still_armed(), vec![site.to_string()]);
-    }
-}
-
-/// Injects at `tile::run` in the 2D tiled engine and asserts full
-/// recovery: the poisoned tile — home or stolen — is replayed serially,
-/// the run completes with no unresolved faults, and the result is
-/// bit-identical to the serial engine's.
-fn tile_drill(action: FailAction, skip: u64, must_fire: bool) {
-    let session = failpoint::session();
-    session.arm(sites::TILE_RUN, action, skip);
-    let (outcome, reference) = within(WATCHDOG, move || {
-        let (circuit, faults) = s1();
-        // The serial engine passes no fail points — safe while armed.
-        let reference = fault_coverage(&circuit, &faults, patterns(&circuit), PATTERNS, true);
-        // More threads than shards, so workers drain their home shard and
-        // steal: the replay ladder must cover stolen tiles too.
-        let outcome = fault_coverage_tiled_robust(
-            &circuit,
-            &faults,
-            patterns(&circuit),
-            PATTERNS,
-            true,
-            &TileOptions {
-                block_words: 2,
-                pattern_stripes: 4,
-                fault_shards: 2,
-                threads: 4,
-                batch: BatchMode::Auto,
-            },
-            &Budget::unlimited(),
-        );
-        (outcome, reference)
-    });
-    assert!(
-        outcome.is_complete(),
-        "tile {action:?} skip {skip}: a recovered run must complete"
-    );
-    let rc = outcome.into_value();
-    assert!(
-        rc.recovery.unresolved.is_empty(),
-        "tile {action:?} skip {skip}: unresolved faults {:?}",
-        rc.recovery.unresolved
-    );
-    assert_eq!(
-        rc.result.detected_at(),
-        reference.detected_at(),
-        "tile {action:?} skip {skip}: recovery must be bit-identical to serial"
-    );
-    let fired = !session.fired().is_empty();
-    if must_fire {
-        assert!(fired, "tile {action:?} skip {skip}: arm never fired");
-    }
-    if fired {
-        assert!(
-            !rc.recovery.is_clean(),
-            "tile {action:?} skip {skip}: a fired arm must be visible in the recovery record"
-        );
-        assert!(rc.recovery.replays >= 1);
-    } else {
-        assert!(rc.recovery.is_clean());
-        assert_eq!(session.still_armed(), vec![sites::TILE_RUN.to_string()]);
     }
 }
 
@@ -371,25 +307,6 @@ fn drill_workloads_exercise_every_planted_site() {
         let mut engine = DegradingEngine::new(CopEngine::new(), CopEngine::new());
         let probs = vec![0.5; circuit.num_inputs()];
         let _ = engine.estimate(&circuit, &faults, &probs);
-        // 2D tiled simulation: every tile passes `tile::run`.  W = 1
-        // keeps the probe superblock to one of the two blocks, so a
-        // post-probe stripe (and its tiles) actually exists at 128
-        // patterns.
-        let outcome = fault_coverage_tiled_robust(
-            &circuit,
-            &faults,
-            patterns(&circuit),
-            128,
-            true,
-            &TileOptions {
-                block_words: 1,
-                pattern_stripes: 2,
-                threads: 2,
-                ..TileOptions::default()
-            },
-            &Budget::unlimited(),
-        );
-        assert!(outcome.is_complete());
         // Resident server: the accept loop, the per-request session
         // handler, and the ECO overlay apply each pass their site.
         let registry = std::sync::Arc::new(wrt::serve::Registry::new());
@@ -441,14 +358,6 @@ fn seeded_injection_storm_recovers_or_errors_never_hangs() {
             }
             sites::CHECKPOINT_WRITE => checkpoint_drill(skip, &format!("storm{seed}")),
             sites::ESTIMATE_ANOMALY => estimate_drill(skip),
-            sites::TILE_RUN => {
-                let action = if seed % 2 == 0 {
-                    FailAction::Panic
-                } else {
-                    FailAction::Error
-                };
-                tile_drill(action, skip, false);
-            }
             sites::SERVE_ACCEPT | sites::SERVE_SESSION | sites::SERVE_ECO_APPLY => {
                 serve_drill(site, skip);
             }
@@ -464,17 +373,6 @@ fn shard_panics_and_merge_failures_recover_bit_identically() {
             for skip in 0..2u64 {
                 shard_drill(site, action, skip, true);
             }
-        }
-    }
-}
-
-#[test]
-fn tile_panics_and_errors_recover_bit_identically() {
-    // Skips 0..6 land the injection on different tiles of the 2×4 grid —
-    // early and late stripes, home and stolen claims alike.
-    for action in [FailAction::Panic, FailAction::Error] {
-        for skip in 0..6u64 {
-            tile_drill(action, skip, true);
         }
     }
 }

@@ -143,6 +143,24 @@ fn unknown_verbs_and_bad_arguments_are_structured_errors() {
 }
 
 #[test]
+fn unknown_flags_are_refused_exactly_as_in_batch_mode() {
+    let ctx = ExecContext::new(Arc::new(Registry::new()));
+    for line in [
+        "simulate s1 --patterns 64 --pattern-stripes 2",
+        "simulate s1 --patterns 64 --pattern-stripse 2",
+        "estimate s1 --grid 0.1",
+    ] {
+        let argv: Vec<String> = line.split(' ').map(ToString::to_string).collect();
+        let batch = execute(&ctx, &argv).expect_err("batch refuses the flag");
+        assert!(batch.starts_with("unknown flag"), "{batch}");
+        let served = raw_response(format!("{line}\n").as_bytes())
+            .expect("a frame must come back")
+            .expect_err("served refuses the flag");
+        assert_eq!(served.trim_end(), batch.trim_end(), "{line}");
+    }
+}
+
+#[test]
 fn concurrent_interleaved_sessions_match_serial_execution_bit_for_bit() {
     let registry = Arc::new(Registry::new());
     let handle = spawn(Arc::clone(&registry), "127.0.0.1:0", None).expect("server spawns");
