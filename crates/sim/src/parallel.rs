@@ -572,6 +572,7 @@ pub fn detection_counts_robust(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SUPPORTED_BLOCK_WORDS;
     use crate::fault_sim::{detection_counts, fault_coverage};
     use crate::patterns::WeightedPatterns;
     use crate::test_support::{counts, coverage};
@@ -616,6 +617,64 @@ mod tests {
                         "drop = {drop}, threads = {threads}, {opts:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn matches_serial_on_adder_with_thread_invariant_stats() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let serial = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 7), 500, true);
+        for opts in [SimOptions::dense(), SimOptions::event(2)] {
+            let (one, one_stats) = coverage(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 7),
+                500,
+                true,
+                1,
+                opts,
+            );
+            assert_eq!(serial.detected_at(), one.detected_at(), "{opts:?}");
+            assert!(one_stats.fault_blocks > 0);
+            assert!(one_stats.node_evals > 0);
+            // Sharding splits the fault list, never a fault's work: every
+            // counter is the same at any thread count.
+            for threads in [2, 3, 5] {
+                let (sharded, stats) = coverage(
+                    &c,
+                    &faults,
+                    WeightedPatterns::equiprobable(3, 7),
+                    500,
+                    true,
+                    threads,
+                    opts,
+                );
+                assert_eq!(serial.detected_at(), sharded.detected_at());
+                assert_eq!(one_stats, stats, "threads = {threads}, {opts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn counts_match_serial_at_every_width() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 9), 700);
+        let engines = std::iter::once(SimOptions::dense())
+            .chain(SUPPORTED_BLOCK_WORDS.iter().map(|&w| SimOptions::event(w)));
+        for opts in engines {
+            for threads in [2, 3] {
+                let (sharded, _) = counts(
+                    &c,
+                    &faults,
+                    WeightedPatterns::equiprobable(3, 9),
+                    700,
+                    threads,
+                    opts,
+                );
+                assert_eq!(serial, sharded, "threads = {threads}, {opts:?}");
             }
         }
     }
@@ -667,20 +726,48 @@ mod tests {
         );
         assert_eq!(r.num_faults(), 0);
         assert_eq!(r.coverage(), 1.0);
-        // Zero patterns: a complete, empty run.
-        let faults = FaultList::full(&c);
-        let (r, stats) = coverage(
+    }
+
+    #[test]
+    fn empty_faults_and_zero_patterns_are_fine() {
+        let c = adder();
+        let empty = FaultList::from_faults(vec![]);
+        let (r, _) = coverage(
             &c,
-            &faults,
+            &empty,
             WeightedPatterns::equiprobable(3, 1),
-            0,
+            64,
             true,
-            2,
-            SimOptions::event(4),
+            0,
+            SimOptions::default(),
         );
-        assert_eq!(r.num_patterns(), 0);
-        assert!(r.detected_at().iter().all(Option::is_none));
-        assert_eq!(stats, SimStats::default());
+        assert_eq!(r.num_faults(), 0);
+        // Zero patterns: a complete, empty run on both inner loops.
+        let faults = FaultList::full(&c);
+        for opts in [SimOptions::dense(), SimOptions::event(4)] {
+            let (r, stats) = coverage(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 1),
+                0,
+                true,
+                2,
+                opts,
+            );
+            assert_eq!(r.num_patterns(), 0);
+            assert!(r.detected_at().iter().all(Option::is_none));
+            assert_eq!(stats, SimStats::default());
+            let (n, stats) = counts(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 1),
+                0,
+                2,
+                opts,
+            );
+            assert!(n.iter().all(|&k| k == 0));
+            assert_eq!(stats, SimStats::default());
+        }
     }
 
     #[test]
@@ -824,6 +911,45 @@ mod tests {
     }
 
     #[test]
+    fn zero_deadline_interrupts_with_a_clean_prefix() {
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let budget = Budget::unlimited().with_time_limit(Duration::ZERO);
+        for threads in [1, 2, 4] {
+            let outcome = fault_coverage_robust(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 5),
+                1000,
+                true,
+                threads,
+                SimOptions::event(1),
+                &budget,
+            );
+            assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Deadline));
+            let rc = outcome.into_value();
+            assert_eq!(rc.result.num_patterns(), 0);
+            assert!(rc.result.detected_at().iter().all(Option::is_none));
+            assert!(rc.recovery.is_clean());
+
+            let outcome = detection_counts_robust(
+                &c,
+                &faults,
+                WeightedPatterns::equiprobable(3, 5),
+                1000,
+                threads,
+                SimOptions::event(1),
+                &budget,
+            );
+            assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Deadline));
+            let rc = outcome.into_value();
+            assert_eq!(rc.num_patterns, 0);
+            assert!(rc.counts.iter().all(|&n| n == 0));
+            assert!(rc.recovery.is_clean());
+        }
+    }
+
+    #[test]
     fn cancellation_interrupts_at_the_next_chunk_boundary() {
         let c = adder();
         let faults = FaultList::full(&c);
@@ -915,6 +1041,62 @@ mod proptests {
                     prop_assert_eq!(&serial_counts, &sharded_counts);
                 }
             }
+        }
+
+        /// Bit-identity to the dense reference at a randomly drawn
+        /// layout (inner loop, width, thread count, drop mode), with
+        /// `SimStats` identical to the single-threaded run's.
+        #[test]
+        fn random_layouts_are_bit_identical_to_serial(
+            circuit in arb_circuit(),
+            weights in proptest::collection::vec(0.05f64..0.95, 4),
+            layout in (0usize..6, 1usize..6),
+            run in (0u64..1_000, 1u64..700, any::<bool>()),
+        ) {
+            let (engine_idx, threads) = layout;
+            let (seed, patterns, drop) = run;
+            let opts = engine(engine_idx);
+            let faults = FaultList::full(&circuit);
+            let source = || WeightedPatterns::new(weights.clone(), seed);
+
+            let dense = fault_coverage(&circuit, &faults, source(), patterns, drop);
+            let (sharded, stats) =
+                coverage(&circuit, &faults, source(), patterns, drop, threads, opts);
+            prop_assert_eq!(dense.detected_at(), sharded.detected_at());
+            prop_assert!(stats.fault_blocks > 0 || faults.is_empty());
+            let (_, one_stats) = coverage(&circuit, &faults, source(), patterns, drop, 1, opts);
+            prop_assert_eq!(one_stats, stats);
+
+            let dense_counts = detection_counts(&circuit, &faults, source(), patterns);
+            let (sharded_counts, _) =
+                counts(&circuit, &faults, source(), patterns, threads, opts);
+            prop_assert_eq!(&dense_counts, &sharded_counts);
+        }
+
+        /// The driver over an unlimited budget is complete, clean and
+        /// bit-identical to the dense reference, on each inner loop.
+        #[test]
+        fn unlimited_budget_is_complete_clean_and_identical(
+            circuit in arb_circuit(),
+            seed in 0u64..200,
+            threads in 1usize..5,
+            engine_idx in 0usize..6,
+        ) {
+            let faults = FaultList::primary_inputs(&circuit);
+            let serial = fault_coverage(
+                &circuit, &faults,
+                WeightedPatterns::equiprobable(4, seed),
+                300, true,
+            );
+            let outcome = fault_coverage_robust(
+                &circuit, &faults,
+                WeightedPatterns::equiprobable(4, seed),
+                300, true, threads, engine(engine_idx), &Budget::unlimited(),
+            );
+            prop_assert!(outcome.is_complete());
+            let rc = outcome.into_value();
+            prop_assert!(rc.recovery.is_clean());
+            prop_assert_eq!(serial.detected_at(), rc.result.detected_at());
         }
 
         /// Shard counts far beyond the fault count degenerate gracefully
