@@ -43,6 +43,15 @@
 //!   `"eco_eval_reduction"` field (overlay evals vs cold recompute, a
 //!   machine-independent counter) must be at least `2.0` non-smoke and
 //!   `1.0` in the smoke configuration;
+//! * in the optimizer artifact (recognized by its `improvement_factor`
+//!   fields — only `bench_optimize` emits them), every
+//!   `"improvement_factor"` (the paper's headline: the test-length
+//!   reduction of optimized weights over equiprobable inputs) must
+//!   exceed `1.0`, smoke included; a non-smoke artifact must also keep
+//!   each tracked circuit at or above its floor (the committed values
+//!   rounded down to two significant figures, [`IMPROVEMENT_FLOORS`])
+//!   and must contain a row for each of them, so no floor can be dodged
+//!   by deleting the row;
 //! * `"bytes_per_gate"` values (the scale sweep's memory headline in
 //!   `BENCH_scale.json`, rows ordered by increasing circuit size) must
 //!   stay flat or decrease — each row may exceed its predecessor by at
@@ -62,6 +71,16 @@
 //! `Infinity`, `-inf`, or plain corruption) is a violation.
 
 use std::process::ExitCode;
+
+/// Per-circuit floors on the optimizer artifact's `improvement_factor`
+/// outside smoke runs: the committed values rounded down to two
+/// significant figures.
+const IMPROVEMENT_FLOORS: [(&str, f64); 4] = [
+    ("c2670ish", 1.1e3),
+    ("c5315ish", 7.4),
+    ("c6288ish", 16.0),
+    ("c7552ish", 4.0e6),
+];
 
 /// One `"key": <bare value>` occurrence found in the artifact.
 struct BareValue {
@@ -173,6 +192,7 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         .iter()
         .any(|v| v.key == "smoke" && v.value == "true");
     let mut saw_c6288_row = false;
+    let mut floored_rows: Vec<&str> = Vec::new();
     let mut warm_headline_rows = 0usize;
     for v in &values {
         // Simulation eval-reduction floor: the event headline must beat
@@ -191,6 +211,30 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                     violations.push(format!(
                         "{path}:{}: \"{}\" is {x} on {} — below the 1.3 multiplier floor",
                         v.line, v.key, v.circuit
+                    ));
+                }
+            }
+        }
+        // The paper's headline: optimized weights must shorten the test
+        // on every row, and by at least the floor on tracked circuits.
+        if v.key == "improvement_factor" {
+            if let Ok(x) = v.value.parse::<f64>() {
+                let floor = IMPROVEMENT_FLOORS
+                    .iter()
+                    .find(|(name, _)| *name == v.circuit)
+                    .filter(|_| !is_smoke);
+                if let Some((name, _)) = floor {
+                    floored_rows.push(name);
+                }
+                if x <= 1.0 {
+                    violations.push(format!(
+                        "{path}:{}: \"improvement_factor\" is {x} on {} — optimized weights do not shorten the test",
+                        v.line, v.circuit
+                    ));
+                } else if let Some(&(_, min)) = floor.filter(|&&(_, min)| x < min) {
+                    violations.push(format!(
+                        "{path}:{}: \"improvement_factor\" is {x} on {} — below its {min} floor",
+                        v.line, v.circuit
                     ));
                 }
             }
@@ -271,6 +315,16 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         violations.push(format!(
             "{path}: simulation artifact has no c6288ish row — multiplier floor dodged"
         ));
+    }
+    let is_optimize_artifact = values.iter().any(|v| v.key == "improvement_factor");
+    if is_optimize_artifact && !is_smoke {
+        for (name, _) in IMPROVEMENT_FLOORS {
+            if !floored_rows.contains(&name) {
+                violations.push(format!(
+                    "{path}: optimizer artifact has no {name} row — improvement floor dodged"
+                ));
+            }
+        }
     }
     if bit_identical_fields == 0 {
         violations.push(format!(
@@ -552,6 +606,57 @@ mod tests {
         let v = check_artifact("x.json", &negative);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("overlay floor"));
+    }
+
+    /// A non-smoke optimizer artifact with one row per floored circuit.
+    fn optimize_artifact(factors: [f64; 4]) -> String {
+        let rows: Vec<String> = IMPROVEMENT_FLOORS
+            .iter()
+            .zip(factors)
+            .map(|((name, _), f)| {
+                format!("{{ \"circuit\": \"{name}\", \"improvement_factor\": {f}, \"bit_identical\": true }}")
+            })
+            .collect();
+        format!("{{ \"smoke\": false, \"results\": [ {} ] }}", rows.join(", "))
+    }
+
+    #[test]
+    fn improvement_factor_floors_reject_rows_below_them() {
+        let committed = [1133.586, 7.497, 16.133, 4021383.872];
+        assert!(check_artifact("x.json", &optimize_artifact(committed)).is_empty());
+        for (row, low) in [(0, 1090.0), (1, 7.3), (2, 15.9), (3, 3.9e6)] {
+            let mut factors = committed;
+            factors[row] = low;
+            let v = check_artifact("x.json", &optimize_artifact(factors));
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].contains("floor"), "{v:?}");
+            assert!(v[0].contains(IMPROVEMENT_FLOORS[row].0), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn improvement_factor_must_exceed_one_even_in_smoke() {
+        let ok = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"s1\", \"improvement_factor\": 1.4, \"bit_identical\": true } ] }";
+        assert!(check_artifact("x.json", ok).is_empty());
+        for bad in ["1.0", "0.5"] {
+            let text = ok.replace("1.4", bad);
+            let v = check_artifact("x.json", &text);
+            assert_eq!(v.len(), 1, "{v:?}");
+            assert!(v[0].contains("do not shorten the test"), "{v:?}");
+        }
+        // Smoke runs use other circuits: the per-circuit floors and row
+        // presence are waived there, the > 1 rule is not.
+        let smoke_low = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"c5315ish\", \"improvement_factor\": 2.0, \"bit_identical\": true } ] }";
+        assert!(check_artifact("x.json", smoke_low).is_empty());
+    }
+
+    #[test]
+    fn deleting_an_optimize_row_cannot_dodge_its_floor() {
+        let full = optimize_artifact([1133.586, 7.497, 16.133, 4021383.872]);
+        let without_c6288 = full.replace("c6288ish", "c880ish");
+        let v = check_artifact("x.json", &without_c6288);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("no c6288ish row"), "{v:?}");
     }
 
     #[test]

@@ -1,28 +1,25 @@
-//! Machine-readable optimizer benchmark: full COP vs incremental COP vs
-//! the batched pending-overlay COP.
+//! Machine-readable optimizer benchmark: full COP vs incremental COP.
 //!
-//! Runs the PROTEST-style optimizer three times per circuit — once with
-//! the full-recompute [`CopEngine`], once with the per-move
-//! cone-restricted [`IncrementalCop`] (PR 3 behavior, `--commit-batch 1`)
-//! and once with the batched pending-overlay engine (`--commit-batch
-//! K`) — and writes `BENCH_optimize.json` (circuit, inputs, sweeps,
-//! engine calls, node evaluations per engine, pending-overlay
-//! materialization/frontier stats, wall time, bit-identity of the
+//! Runs the PROTEST-style optimizer twice per circuit — once with the
+//! full-recompute [`CopEngine`] and once with [`IncrementalCop`], whose
+//! pending overlay defers coordinate moves and resolves them in shared
+//! materialization passes — and writes `BENCH_optimize.json` (circuit,
+//! inputs, sweeps, engine calls, node evaluations per engine,
+//! pending-overlay materialization/frontier stats, wall time, the
+//! optimizer's test-length improvement factor, bit-identity of the
 //! resulting descents), so the optimizer hot path's trajectory is
-//! tracked in a machine-readable artifact from PR to PR, alongside
-//! `BENCH_sim.json` for the fault-simulation path.
+//! tracked in a machine-readable artifact from change to change,
+//! alongside `BENCH_sim.json` for the fault-simulation path.
 //!
 //! Run with `cargo run --release -p wrt-bench --bin bench_optimize`.
 //!
 //! ```text
-//! bench_optimize [--circuits a,b,...] [--sweeps N] [--commit-batch K]
-//!                [--out PATH] [--smoke]
+//! bench_optimize [--circuits a,b,...] [--sweeps N] [--out PATH] [--smoke]
 //! ```
 //!
 //! Defaults: the four largest workload circuits (including the
-//! wide-cone c5315ish and the globally connected c6288ish multiplier —
-//! the two circuits the pending overlay exists for), the standard
-//! experiment config, batch 4, `BENCH_optimize.json` in the current
+//! wide-cone c5315ish and the globally connected c6288ish multiplier),
+//! the standard experiment config, `BENCH_optimize.json` in the current
 //! directory.  `--smoke` shrinks everything (one small circuit, few
 //! sweeps) for CI.
 
@@ -42,45 +39,28 @@ struct Row {
     sweeps: usize,
     engine_calls: usize,
     full_node_evals: u64,
-    incremental_node_evals: u64,
-    incremental_forward_evals: u64,
-    incremental_backward_evals: u64,
-    pending_node_evals: u64,
-    pending_stats: IncrementalStats,
-    commit_batch: usize,
+    incremental: IncrementalStats,
     full_seconds: f64,
     incremental_seconds: f64,
-    pending_seconds: f64,
     improvement_factor: f64,
     bit_identical: bool,
 }
 
 impl Row {
-    /// Node-evaluation reduction of the per-move incremental engine vs
-    /// full recompute (the machine-independent measure of the
-    /// O(circuit) → O(cone) win).
+    /// Node-evaluation reduction of the incremental engine vs full
+    /// recompute (the machine-independent measure of the O(circuit) →
+    /// O(cone) win).
     fn eval_reduction(&self) -> f64 {
-        self.full_node_evals as f64 / self.incremental_node_evals as f64
-    }
-
-    /// Node-evaluation reduction of the batched pending-overlay engine
-    /// vs the per-move incremental engine (the PR 5 lever: deferred
-    /// commits sharing one materialization pass).
-    fn pending_eval_reduction(&self) -> f64 {
-        self.incremental_node_evals as f64 / self.pending_node_evals as f64
+        self.full_node_evals as f64 / self.incremental.node_evaluations as f64
     }
 
     fn speedup(&self) -> f64 {
         self.full_seconds / self.incremental_seconds
     }
 
-    fn pending_speedup(&self) -> f64 {
-        self.incremental_seconds / self.pending_seconds
-    }
-
     fn avg_union_frontier(&self) -> f64 {
-        self.pending_stats.union_frontier_sum as f64
-            / (self.pending_stats.materializations.max(1)) as f64
+        self.incremental.union_frontier_sum as f64
+            / (self.incremental.materializations.max(1)) as f64
     }
 
     fn evals_per_sweep(&self, evals: u64) -> f64 {
@@ -89,7 +69,7 @@ impl Row {
 
     fn to_json(&self) -> String {
         format!(
-            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"nodes\": {},\n      \"faults\": {},\n      \"sweeps\": {},\n      \"engine_calls\": {},\n      \"full_node_evals\": {},\n      \"incremental_node_evals\": {},\n      \"incremental_forward_evals\": {},\n      \"incremental_backward_evals\": {},\n      \"full_node_evals_per_sweep\": {:.1},\n      \"incremental_node_evals_per_sweep\": {:.1},\n      \"eval_reduction\": {:.2},\n      \"pending_overlay\": {{\n        \"commit_batch\": {},\n        \"node_evals\": {},\n        \"forward_evals\": {},\n        \"backward_evals\": {},\n        \"pending_moves\": {},\n        \"cache_hits\": {},\n        \"materializations\": {},\n        \"union_frontier_avg\": {:.1},\n        \"union_frontier_peak\": {},\n        \"eval_reduction_vs_incremental\": {:.2},\n        \"eval_reduction_vs_full\": {:.2},\n        \"seconds\": {:.6},\n        \"speedup_vs_incremental\": {:.3}\n      }},\n      \"full_seconds\": {:.6},\n      \"incremental_seconds\": {:.6},\n      \"speedup\": {:.3},\n      \"improvement_factor\": {:.3},\n      \"bit_identical\": {}\n    }}",
+            "    {{\n      \"circuit\": \"{}\",\n      \"inputs\": {},\n      \"gates\": {},\n      \"nodes\": {},\n      \"faults\": {},\n      \"sweeps\": {},\n      \"engine_calls\": {},\n      \"full_node_evals\": {},\n      \"incremental_node_evals\": {},\n      \"incremental_forward_evals\": {},\n      \"incremental_backward_evals\": {},\n      \"full_node_evals_per_sweep\": {:.1},\n      \"incremental_node_evals_per_sweep\": {:.1},\n      \"eval_reduction\": {:.2},\n      \"pending_overlay\": {{\n        \"pending_moves\": {},\n        \"cache_hits\": {},\n        \"materializations\": {},\n        \"union_frontier_avg\": {:.1},\n        \"union_frontier_peak\": {}\n      }},\n      \"full_seconds\": {:.6},\n      \"incremental_seconds\": {:.6},\n      \"speedup\": {:.3},\n      \"improvement_factor\": {:.3},\n      \"bit_identical\": {}\n    }}",
             self.circuit,
             self.inputs,
             self.gates,
@@ -98,25 +78,17 @@ impl Row {
             self.sweeps,
             self.engine_calls,
             self.full_node_evals,
-            self.incremental_node_evals,
-            self.incremental_forward_evals,
-            self.incremental_backward_evals,
+            self.incremental.node_evaluations,
+            self.incremental.forward_evaluations,
+            self.incremental.backward_evaluations,
             self.evals_per_sweep(self.full_node_evals),
-            self.evals_per_sweep(self.incremental_node_evals),
+            self.evals_per_sweep(self.incremental.node_evaluations),
             self.eval_reduction(),
-            self.commit_batch,
-            self.pending_node_evals,
-            self.pending_stats.forward_evaluations,
-            self.pending_stats.backward_evaluations,
-            self.pending_stats.pending_moves,
-            self.pending_stats.pending_cache_hits,
-            self.pending_stats.materializations,
+            self.incremental.pending_moves,
+            self.incremental.pending_cache_hits,
+            self.incremental.materializations,
             self.avg_union_frontier(),
-            self.pending_stats.union_frontier_peak,
-            self.pending_eval_reduction(),
-            self.full_node_evals as f64 / self.pending_node_evals as f64,
-            self.pending_seconds,
-            self.pending_speedup(),
+            self.incremental.union_frontier_peak,
             self.full_seconds,
             self.incremental_seconds,
             self.speedup(),
@@ -135,7 +107,7 @@ fn identical(a: &OptimizeResult, b: &OptimizeResult) -> bool {
         && a.engine_calls == b.engine_calls
 }
 
-fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig, commit_batch: usize) -> Row {
+fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig) -> Row {
     let faults = experiment_faults(circuit);
 
     let mut full_engine = CopEngine::new();
@@ -150,13 +122,6 @@ fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig, commit_batch: usize
     let start = Instant::now();
     let incremental = optimize(circuit, &faults, &mut incremental_engine, config);
     let incremental_seconds = start.elapsed().as_secs_f64();
-    let stats = incremental_engine.stats();
-
-    let mut pending_engine = IncrementalCop::new().with_commit_batch(commit_batch);
-    let start = Instant::now();
-    let pending = optimize(circuit, &faults, &mut pending_engine, config);
-    let pending_seconds = start.elapsed().as_secs_f64();
-    let pending_stats = pending_engine.stats();
 
     Row {
         circuit: circuit.name().to_string(),
@@ -167,17 +132,11 @@ fn bench_circuit(circuit: &Circuit, config: &OptimizeConfig, commit_batch: usize
         sweeps: full.sweeps.len(),
         engine_calls: full.engine_calls,
         full_node_evals,
-        incremental_node_evals: stats.node_evaluations,
-        incremental_forward_evals: stats.forward_evaluations,
-        incremental_backward_evals: stats.backward_evaluations,
-        pending_node_evals: pending_stats.node_evaluations,
-        pending_stats,
-        commit_batch,
+        incremental: incremental_engine.stats(),
         full_seconds,
         incremental_seconds,
-        pending_seconds,
         improvement_factor: full.improvement_factor(),
-        bit_identical: identical(&full, &incremental) && identical(&full, &pending),
+        bit_identical: identical(&full, &incremental),
     }
 }
 
@@ -215,33 +174,27 @@ fn main() {
     if let Some(sweeps) = flag(&args, "--sweeps") {
         config.max_sweeps = sweeps.parse().expect("--sweeps N");
     }
-    let commit_batch: usize = flag(&args, "--commit-batch")
-        .map(|v| v.parse().expect("--commit-batch K"))
-        .unwrap_or(4);
-
     println!(
-        "optimizer PREPARE hot path: full COP vs incremental COP vs batched \
-         pending-overlay COP (max {} sweeps, batch {commit_batch})",
+        "optimizer PREPARE hot path: full COP vs incremental COP (max {} sweeps)",
         config.max_sweeps
     );
     let mut rows = Vec::new();
     for name in &circuits {
         let circuit = wrt_workloads::by_name(name)
             .unwrap_or_else(|| panic!("unknown workload `{name}`"));
-        let row = bench_circuit(&circuit, &config, commit_batch);
+        let row = bench_circuit(&circuit, &config);
         println!(
-            "  {:<10} {:>4} inputs {:>5} nodes  evals {:>12} -> {:>10} ({:>5.1}x) -> {:>10} \
-             ({:>4.2}x vs inc)  mat {:>4} avg frontier {:>6.0}  identical {}",
+            "  {:<10} {:>4} inputs {:>5} nodes  evals {:>12} -> {:>10} ({:>5.1}x)  \
+             mat {:>4} avg frontier {:>6.0}  improvement {:.3e}  identical {}",
             row.circuit,
             row.inputs,
             row.nodes,
             row.full_node_evals,
-            row.incremental_node_evals,
+            row.incremental.node_evaluations,
             row.eval_reduction(),
-            row.pending_node_evals,
-            row.pending_eval_reduction(),
-            row.pending_stats.materializations,
+            row.incremental.materializations,
             row.avg_union_frontier(),
+            row.improvement_factor,
             row.bit_identical,
         );
         rows.push(row);
@@ -249,35 +202,16 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"optimize_full_vs_incremental_vs_pending_cop\",\n  \"note\": \"eval_reduction is the machine-independent metric: COP node evaluations per optimizer run, full recompute vs cone-restricted per-move incremental (bit-identical descents). pending_overlay tracks the batched engine: coordinate moves are deferred (free) into a union-of-cones frontier and resolved in one shared materialization pass per batch, so its eval_reduction_vs_incremental isolates the batching win — largest on the wide-cone c5315ish and the globally connected c6288ish multiplier, the two circuits whose per-move commits (or stateless fallbacks) used to bound the PR 3 engine. cache_hits counts forward recomputations skipped by the cross-query pending value cache (union-frontier values reused across query epochs, invalidated cone-grained per deferred move) — verdict: the extra stamp layer pays, cutting pending forward evals 15.5% and total pending evals 7% on the acceptance circuit c5315ish. Read alongside BENCH_sim.json, which tracks the fault-simulation (Monte-Carlo engine) side of the same hot path.\",\n  \"max_sweeps\": {},\n  \"commit_batch\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"optimize_full_vs_incremental_cop\",\n  \"note\": \"eval_reduction is the machine-independent metric: COP node evaluations per optimizer run, full recompute vs the incremental engine (IncrementalCop at its default commit batch of 4; bit-identical descents). The incremental engine has one move path, the pending overlay: coordinate moves are deferred (free) into a union-of-cones frontier and resolved in one shared materialization pass per batch; the pending_overlay object records that layer (moves, materializations, frontier sizes, and cache_hits = forward recomputations skipped by the cross-query pending value cache). The per-move commit path it replaced did 1.30-1.49x more node evaluations on every row. improvement_factor is the paper's headline, the test-length reduction of the optimized weights over equiprobable inputs; bench_guard floors it per circuit. Read alongside BENCH_sim.json, which tracks the fault-simulation side of the same flow.\",\n  \"max_sweeps\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         config.max_sweeps,
-        commit_batch,
         smoke,
         body.join(",\n"),
     );
     std::fs::write(&out, json).expect("write BENCH_optimize.json");
     println!("wrote {out}");
 
-    let all_identical = rows.iter().all(|r| r.bit_identical);
     assert!(
-        all_identical,
+        rows.iter().all(|r| r.bit_identical),
         "an incremental descent diverged from the full engine"
     );
-    if commit_batch > 1 {
-        let pending_always_reduces = rows
-            .iter()
-            .all(|r| r.pending_node_evals < r.incremental_node_evals);
-        assert!(
-            pending_always_reduces,
-            "the pending overlay must strictly reduce node evaluations vs per-move commits"
-        );
-    } else {
-        // `--commit-batch 0|1` runs the per-move engine twice: a useful
-        // baseline sanity check, whose work must match exactly.
-        assert!(
-            rows.iter()
-                .all(|r| r.pending_node_evals == r.incremental_node_evals),
-            "commit batch {commit_batch} must reproduce the per-move engine's work exactly"
-        );
-    }
 }

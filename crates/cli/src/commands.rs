@@ -307,20 +307,25 @@ mod tests {
     }
 
     #[test]
-    fn commit_batch_edge_values_degrade_to_per_move_mode() {
-        // 0 and 1 are the documented per-move (PR 3) fallbacks; both
-        // must run end to end, as must the batched default.
-        for batch in ["0", "1", "4"] {
-            let a = args(&["s1", "--commit-batch", batch]);
-            assert!(optimize(&a).is_ok(), "--commit-batch {batch}");
-        }
-        // Malformed values are clean errors, not panics.
-        assert!(optimize(&args(&["s1", "--commit-batch", "lots"])).is_err());
-        // The flag is tied to the engine that implements it.
-        assert!(engine_arg(&args(&["--engine", "cop", "--commit-batch", "4"])).is_err());
+    fn commit_batch_flag_is_rejected_in_batch_and_served_mode() {
+        // The pending overlay is the optimizer engine's only move path
+        // and its batch size is no longer a flag: old scripts passing
+        // `--commit-batch` get the same structured error in batch and in
+        // served mode, not a silently ignored option.
+        let argv = args(&["optimize", "s1", "--commit-batch", "4"]);
+        let batch = run(&argv).expect_err("batch mode refuses the flag");
         assert!(
-            engine_arg(&args(&["--engine", "stafan", "--commit-batch", "2"])).is_err()
+            batch.starts_with("unknown flag `--commit-batch` for `optimize`"),
+            "{batch}"
         );
+        let handle = wrt_serve::server::spawn(Arc::new(Registry::new()), "127.0.0.1:0", None)
+            .expect("server spawns");
+        let served = wrt_serve::client::request(&handle.addr().to_string(), &argv)
+            .expect("a frame comes back")
+            .expect_err("served mode refuses the flag");
+        assert_eq!(served.trim_end(), batch.trim_end());
+        handle.trigger_shutdown();
+        handle.wait();
     }
 
     #[test]

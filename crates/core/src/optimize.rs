@@ -796,51 +796,36 @@ mod tests {
     }
 
     #[test]
-    fn incremental_engine_reproduces_full_cop_trajectory() {
+    fn batched_pending_engine_reproduces_full_cop_trajectory() {
         // The optimizer is deterministic, so a bit-identical engine must
         // produce a bit-identical descent: same weights, same lengths,
-        // same sweep history.
-        use wrt_estimate::IncrementalCop;
-        for circuit in [wide_and(8), equality_circuit(5)] {
-            let faults = FaultList::checkpoints(&circuit);
-            let config = OptimizeConfig::default();
-            let mut full = CopEngine::new();
-            let mut incremental = IncrementalCop::new();
-            let reference = optimize(&circuit, &faults, &mut full, &config);
-            let got = optimize(&circuit, &faults, &mut incremental, &config);
-            assert_eq!(got.weights, reference.weights);
-            assert_eq!(got.final_length.to_bits(), reference.final_length.to_bits());
-            assert_eq!(got.sweeps, reference.sweeps);
-            assert_eq!(got.engine_calls, reference.engine_calls);
-        }
-    }
-
-    #[test]
-    fn batched_pending_engine_reproduces_full_cop_trajectory() {
-        // The pending-overlay engine defers commits across PREPARE
-        // queries and materializes at ANALYSIS (or batch/budget) points
-        // — the descent must still be bit-identical for every batch
-        // size, since each answer is bit-identical.
+        // same sweep history.  The pending-overlay engine defers moves
+        // across PREPARE queries and materializes at ANALYSIS (or
+        // batch/budget) points — for the default batch, for K = 1
+        // (every move materializes at once) and for other batch sizes.
         use wrt_estimate::IncrementalCop;
         for circuit in [wide_and(8), equality_circuit(5)] {
             let faults = FaultList::checkpoints(&circuit);
             let config = OptimizeConfig::default();
             let mut full = CopEngine::new();
             let reference = optimize(&circuit, &faults, &mut full, &config);
-            for batch in [2, 4, 64] {
-                let mut batched = IncrementalCop::new().with_commit_batch(batch);
-                let got = optimize(&circuit, &faults, &mut batched, &config);
-                assert_eq!(got.weights, reference.weights, "batch {batch}");
+            let engines = [
+                ("default", IncrementalCop::new()),
+                ("batch 1", IncrementalCop::new().with_commit_batch(1)),
+                ("batch 2", IncrementalCop::new().with_commit_batch(2)),
+                ("batch 64", IncrementalCop::new().with_commit_batch(64)),
+            ];
+            for (what, mut engine) in engines {
+                let got = optimize(&circuit, &faults, &mut engine, &config);
+                assert_eq!(got.weights, reference.weights, "{what}");
                 assert_eq!(
                     got.final_length.to_bits(),
                     reference.final_length.to_bits(),
-                    "batch {batch}"
+                    "{what}"
                 );
-                assert_eq!(got.sweeps, reference.sweeps, "batch {batch}");
-                assert_eq!(got.engine_calls, reference.engine_calls, "batch {batch}");
-                let stats = batched.stats();
-                assert_eq!(stats.incremental_commits, 0, "batch {batch} defers moves");
-                assert!(stats.pending_moves > 0, "batch {batch}");
+                assert_eq!(got.sweeps, reference.sweeps, "{what}");
+                assert_eq!(got.engine_calls, reference.engine_calls, "{what}");
+                assert!(engine.stats().pending_moves > 0, "{what}");
             }
         }
     }

@@ -9,7 +9,7 @@
 //! ([`crate::signal_probability_bounds`]) brackets that error, and the
 //! statistical engines avoid it.
 
-use wrt_circuit::{Circuit, GateKind, Node, NodeId};
+use wrt_circuit::{Circuit, GateKind, NodeId};
 
 /// One forward pass of signal probabilities.
 ///
@@ -27,39 +27,31 @@ pub fn signal_probabilities_cop(circuit: &Circuit, input_probs: &[f64]) -> Vec<f
     );
     let mut p = vec![0.0f64; circuit.num_nodes()];
     for (id, node) in circuit.iter() {
-        p[id.index()] = node_probability(circuit, id, node, &|k| input_probs[k], &|f: NodeId| {
-            p[f.index()]
-        });
+        p[id.index()] = node_probability(
+            circuit,
+            id,
+            node.kind(),
+            node.fanin(),
+            &|k| input_probs[k],
+            &|f: NodeId| p[f.index()],
+        );
     }
     p
 }
 
 /// The COP recurrence for one node: its signal probability from its fanin
-/// probabilities.
+/// probabilities, for the gate function `kind`.
 ///
 /// `input_prob` maps a primary-input *position* to its 1-probability; `p`
-/// maps any fanin node to its (already computed) signal probability.  Both
-/// the full pass ([`signal_probabilities_cop`]) and the incremental engine
+/// maps any fanin node to its (already computed) signal probability.  The
+/// full pass ([`signal_probabilities_cop`]) and the incremental overlay
 /// evaluate nodes through this single function, which is what makes their
-/// results bit-identical.
+/// results bit-identical.  The kind is an argument so the ECO overlay
+/// ([`crate::SessionCop`]) can evaluate a what-if gate-kind mutation over
+/// the *unchanged* fanin list: a later cold recompute of the really-mutated
+/// circuit produces bit-identical values (same function, same operand
+/// order).
 pub(crate) fn node_probability(
-    circuit: &Circuit,
-    id: NodeId,
-    node: Node<'_>,
-    input_prob: &impl Fn(usize) -> f64,
-    p: &impl Fn(NodeId) -> f64,
-) -> f64 {
-    node_probability_of_kind(circuit, id, node.kind(), node.fanin(), input_prob, p)
-}
-
-/// [`node_probability`] with the gate kind supplied explicitly.
-///
-/// The ECO overlay ([`crate::SessionCop`]) evaluates what-if gate-kind
-/// mutations without building a mutated circuit: it calls this function
-/// with the overridden kind and the *unchanged* fanin list, so a later
-/// cold recompute of the really-mutated circuit produces bit-identical
-/// values (same function, same operand order).
-pub(crate) fn node_probability_of_kind(
     circuit: &Circuit,
     id: NodeId,
     kind: GateKind,
@@ -126,7 +118,8 @@ pub fn observabilities_cop(circuit: &Circuit, p: &[f64]) -> (Vec<f64>, Vec<f64>)
         let o = obs[idx];
         let base = circuit.fanin_offset(id);
         for pin in 0..node.fanin().len() {
-            pin_obs[base + pin] = o * pin_sensitivity(node, pin, &|f: NodeId| p[f.index()]);
+            pin_obs[base + pin] =
+                o * pin_sensitivity(node.kind(), node.fanin(), pin, &|f: NodeId| p[f.index()]);
         }
     }
     (obs, pin_obs)
@@ -165,16 +158,10 @@ pub(crate) fn stem_observability(
     }
 }
 
-/// COP sensitization factor of one gate-input pin: the probability that the
-/// other pins hold non-controlling values (the pin observability is the
-/// gate's stem observability times this factor).
-pub(crate) fn pin_sensitivity(node: Node<'_>, pin: usize, p: &impl Fn(NodeId) -> f64) -> f64 {
-    pin_sensitivity_of_kind(node.kind(), node.fanin(), pin, p)
-}
-
-/// [`pin_sensitivity`] with the gate kind supplied explicitly (the ECO
-/// overlay's kind-override entry point; see [`node_probability_of_kind`]).
-pub(crate) fn pin_sensitivity_of_kind(
+/// COP sensitization factor of one gate-input pin of a `kind` gate: the
+/// probability that the other pins hold non-controlling values (the pin
+/// observability is the gate's stem observability times this factor).
+pub(crate) fn pin_sensitivity(
     kind: GateKind,
     fanin: &[NodeId],
     pin: usize,

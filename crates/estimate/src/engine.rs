@@ -5,8 +5,8 @@ use wrt_fault::{Fault, FaultList, FaultSite};
 use wrt_robust::Budget;
 use wrt_sim::{detection_counts_robust, SimOptions, WeightedPatterns};
 
-use crate::cop::{observabilities_cop, signal_probabilities_cop};
 use crate::exact::exact_detection_probability;
+use crate::overlay::CopSolution;
 use crate::stafan::StafanCounts;
 
 /// A tool "computing or estimating fault detection probabilities
@@ -99,9 +99,9 @@ pub trait DetectionProbabilityEngine: Send {
 /// probability times observability, clamped to `[0, 1]`.
 ///
 /// `p`, `obs` and `pin_obs` are lookups into a consistent COP solution
-/// (full arrays for [`CopEngine`], a baseline-plus-overlay view for
-/// [`crate::IncrementalCop`]); routing both engines through this one
-/// function keeps their estimates bit-identical.
+/// (the full arrays, or the overlay-or-baseline view of the incremental
+/// clients); routing every engine through this one function keeps their
+/// estimates bit-identical.
 pub(crate) fn cop_fault_probability(
     circuit: &Circuit,
     fault: &Fault,
@@ -153,20 +153,7 @@ impl DetectionProbabilityEngine for CopEngine {
         faults: &FaultList,
         input_probs: &[f64],
     ) -> Vec<f64> {
-        let p = signal_probabilities_cop(circuit, input_probs);
-        let (obs, pin_obs) = observabilities_cop(circuit, &p);
-        faults
-            .iter()
-            .map(|(_, fault)| {
-                cop_fault_probability(
-                    circuit,
-                    &fault,
-                    &|n: NodeId| p[n.index()],
-                    &|n: NodeId| obs[n.index()],
-                    &|g: NodeId, pin: usize| pin_obs[circuit.fanin_offset(g) + pin],
-                )
-            })
-            .collect()
+        CopSolution::compute(circuit, input_probs).detection_probabilities(circuit, faults)
     }
 
     fn name(&self) -> &'static str {

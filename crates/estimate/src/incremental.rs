@@ -4,106 +4,68 @@
 //! sweep: "what are the detection probabilities at `X` with `x_i` forced
 //! to 0 and to 1?"  A full COP evaluation answers it with two passes over
 //! the *entire* netlist, although only input *i*'s weight moved.
-//! [`IncrementalCop`] instead caches the COP solution (signal
-//! probabilities, observabilities, pin observabilities) at the current
-//! baseline `X` and, for a single-coordinate perturbation, recomputes only
+//! [`IncrementalCop`] instead keeps the COP solution at a baseline `X`
+//! and answers through one stamped copy-on-write overlay (the same one
+//! the ECO what-ifs of [`crate::SessionCop`] use) that recomputes only
+//! the dirty regions.
 //!
-//! 1. the **forward dirty region**: input *i*'s transitive fanout cone
-//!    (cached per input across sweeps via [`wrt_circuit::FanoutCones`]),
-//!    with epoch-stamped overlay values — the same trick `FaultSimulator`
-//!    uses for per-fault cone propagation.  Committing updates walk the
-//!    cone eagerly in topological order, pruning values that land exactly
-//!    on their baseline; query-only updates compute probabilities **on
-//!    demand** instead, memoized post-order from the nodes the answer
-//!    reads;
-//! 2. the **backward dirty region**: observabilities are recomputed for
-//!    the nodes that can see a change — seeded with the
-//!    sensitization-reactive gates fed by a dirty probability (only
-//!    AND/OR-family pins sensitize through sibling values; XOR/NOT pins
-//!    react solely to their stem), then propagated fanin-wards through a
-//!    max-heap in descending node order (the reverse-topological order of
-//!    the full pass), pushing a fanin only when its sink's recomputed pin
-//!    observability actually differs from the baseline.  Query-only
-//!    updates additionally clip the walk to the **query mask** — the
-//!    fanout closure of the queried fault sites, which is closed under
-//!    the obs-dependency relation and therefore contains every node whose
-//!    value can influence an answer.
+//! # One move path: the pending overlay
 //!
-//! Everything outside the dirty regions falls back to the cached
-//! baseline.  One guard sits above all of this: a coordinate whose fanout
-//! cone covers half the netlist ([`cone_is_global`]) is answered with
-//! plain stateless full passes, because on globally connected circuits
-//! (the array multiplier being the extreme) the overlay machinery costs
-//! more than the two linear passes it would replace.
+//! A coordinate move (MINIMIZE writes `x_i := y` between PREPARE calls)
+//! is deferred: it records its delta in the pending weight vector and
+//! absorbs input *i*'s fanout cone (cached per input across sweeps via
+//! [`wrt_circuit::FanoutCones`]) into the union frontier
+//! ([`wrt_circuit::ConeUnion`]); no node is evaluated at move time.  The
+//! pending layer **materializes** — one eager forward pass over the union
+//! frontier at the pending weights plus one backward push-on-change pass,
+//! folded into the baseline — when `K` moves have accumulated
+//! ([`with_commit_batch`](IncrementalCop::with_commit_batch), default 4;
+//! `K ≤ 1` materializes after every move), when the union frontier
+//! exceeds its budget ([`frontier_exceeds_budget`]), or when an unmasked
+//! ANALYSIS query arrives.  `K` overlapping per-move backward regions
+//! collapse into one union-sized region.
+//!
+//! # Queries
+//!
+//! A PREPARE query is answered against `baseline ∪ pending ∪
+//! query-overlay`: the dirty cone is the union frontier merged with the
+//! queried coordinate's cone, and only what the answer reads is computed,
+//! at the pending weights with the query coordinate overridden:
+//!
+//! 1. signal probabilities **on demand**, memoized post-order from the
+//!    nodes the answer reads, and seeded from a cross-query cache of the
+//!    frontier's pending-weight probabilities outside the queried cone;
+//! 2. observabilities in the **backward dirty region** clipped to the
+//!    **query mask** — the fanout closure of the queried fault sites,
+//!    which is closed under the obs-dependency relation and therefore
+//!    contains every node whose value can influence an answer.  The walk
+//!    is seeded with the sensitization-reactive gates of the dirty cone
+//!    (only AND/OR-family pins sensitize through sibling values) and
+//!    propagates fanin-wards in descending node order, pushing a fanin
+//!    only when its sink's recomputed pin observability actually differs
+//!    from the baseline.
 //!
 //! # Dirty-region invariants
 //!
-//! * The forward overlay is **exact**: a node's signal probability differs
-//!   from the baseline only if the node is stamped in the current epoch
-//!   (non-cone nodes cannot depend on input *i*; cone nodes are recomputed
-//!   and stamped only when their value changed).
+//! * The forward overlay is **exact**: a node's signal probability can
+//!   differ from the baseline only inside the dirty cone (a union of
+//!   fanout closures of the moved inputs), and only stamped nodes hold
+//!   non-baseline values.
 //! * The backward overlay is **conservative but value-exact**: every node
 //!   whose observability (or any pin observability) differs from the
-//!   baseline is stamped, and every stamped node carries the value a full
-//!   reverse pass would have produced, because each recomputation reads
-//!   overlay-or-baseline values that are themselves exact (induction over
-//!   descending node ids, the full pass's own order).
-//! * Since the full pass and the incremental pass evaluate nodes through
-//!   the *same* helper functions ([`node_probability`],
-//!   [`stem_observability`], [`pin_sensitivity`]) on bit-identical inputs,
-//!   the resulting estimates are **bit-identical f64s**, not merely close
-//!   — property-tested in `tests/incremental_agreement.rs`.
-//!
-//! The baseline itself is maintained incrementally: when the optimizer
-//! moves one coordinate (MINIMIZE writes `x_i := y` between PREPARE
-//! calls), the engine commits a single cone-restricted update instead of
-//! rebuilding, so on cone-local circuits a whole coordinate-descent sweep
-//! performs no full pass at all after the first.
-//!
-//! # Batched pending overlay (wide and global cones)
-//!
-//! Per-move commits are the right trade only while cones are local.  On
-//! wide-cone circuits every commit's backward region covers much of the
-//! netlist, and the regions of successive commits overlap almost
-//! entirely; on globally connected circuits the per-move guard degrades
-//! to full rebuilds and stateless passes.  The **batched mode**
-//! ([`with_commit_batch`](IncrementalCop::with_commit_batch), `K ≥ 2`)
-//! therefore defers commits instead of applying them:
-//!
-//! * a coordinate move only records its delta in the pending weight
-//!   vector and absorbs its fanout cone into the **union frontier**
-//!   ([`wrt_circuit::ConeUnion`]) — no node is evaluated at all;
-//! * a query is answered against `baseline ∪ pending ∪ query-overlay`:
-//!   the dirty cone is the union frontier merged with the queried
-//!   coordinate's cone, and the existing demand-driven machinery
-//!   (lazy probabilities, mask-clipped backward walk) computes exactly
-//!   the values the query reads, at the pending weights with the query
-//!   coordinate overridden.  The pending layer itself stores no values,
-//!   so every compare-against-baseline prune stays exact;
-//! * the pending layer **materializes** — one shared eager forward pass
-//!   over the union frontier plus one shared backward push-on-change
-//!   pass, then a fold into the baseline — only when `K` moves have
-//!   accumulated, when the union frontier exceeds its budget
-//!   ([`frontier_exceeds_budget`]), or when an unmasked ANALYSIS query
-//!   arrives.  `K` overlapping per-move backward regions collapse into
-//!   one union-sized region, which is where the batched win comes from.
-//!
-//! `K ≤ 1` keeps the exact per-move behavior above (the PR 3 engine);
-//! results are bit-identical to full COP in every mode — the
-//! multi-coordinate walk property test in
-//! `tests/incremental_agreement.rs` covers randomized batch sizes and
-//! forced materialization points.
+//!   baseline is recomputed, and every recomputed node carries the value a
+//!   full reverse pass would have produced (induction over descending
+//!   node ids, the full pass's own order).
+//! * Full and incremental passes evaluate nodes through the same helpers
+//!   on bit-identical inputs, so the estimates are **bit-identical f64s**
+//!   for every `K` — property-tested in `tests/incremental_agreement.rs`
+//!   with randomized batch sizes and forced materialization points.
 
-use std::collections::BinaryHeap;
-
-use wrt_circuit::{transitive_fanout, Circuit, ConeUnion, FanoutCones, GateKind, NodeId};
+use wrt_circuit::{transitive_fanout, Circuit, ConeUnion, FanoutCones, NodeId};
 use wrt_fault::{FaultList, FaultSite};
 
-use crate::cop::{
-    node_probability, observabilities_cop, pin_sensitivity, signal_probabilities_cop,
-    stem_observability,
-};
-use crate::engine::{cop_fault_probability, DetectionProbabilityEngine};
+use crate::engine::DetectionProbabilityEngine;
+use crate::overlay::{sens_reacts, CopOverlay, CopSolution, Evals, LazyQuery};
 
 /// Cumulative work counters of an [`IncrementalCop`].
 ///
@@ -123,14 +85,10 @@ pub struct IncrementalStats {
     pub backward_evaluations: u64,
     /// Full two-pass baseline rebuilds.
     pub full_rebuilds: u64,
-    /// Single-coordinate incremental baseline commits.
-    pub incremental_commits: u64,
     /// Cone-restricted coordinate perturbations evaluated.
     pub perturbations: u64,
-    /// Stateless full-pass estimates taken by the global-cone guard.
-    pub stateless_estimates: u64,
-    /// Deferred coordinate moves absorbed into the pending overlay
-    /// (batched mode; each costs zero node evaluations at move time).
+    /// Coordinate moves absorbed into the pending overlay (each costs
+    /// zero node evaluations at move time).
     pub pending_moves: u64,
     /// Pending-overlay materializations: shared multi-coordinate resolve
     /// passes folding the union frontier into the baseline.
@@ -144,29 +102,11 @@ pub struct IncrementalStats {
     /// Forward recomputations skipped by the cross-query pending value
     /// cache: union-frontier nodes outside the queried coordinate's cone
     /// whose pending-weight probability was still valid from an earlier
-    /// query epoch (batched mode only).
+    /// query epoch.
     pub pending_cache_hits: u64,
 }
 
-/// A coordinate whose fanout cone covers at least this fraction of the
-/// netlist is answered with stateless full passes instead of the
-/// incremental machinery (numerator/denominator of 1/2 = 50 %).
-///
-/// On globally connected circuits — the array multiplier is the extreme,
-/// where every low-order input reaches nearly every gate — the "dirty
-/// region" is the whole circuit, and maintaining the overlay (heap,
-/// stamps, scattered reads) costs more wall time than the two linear
-/// passes it replaces.  The guard keeps such coordinates at full-pass
-/// cost while cone-local coordinates keep the incremental win; results
-/// are bit-identical either way.
-const GLOBAL_CONE_NUMER: usize = 1;
-const GLOBAL_CONE_DENOM: usize = 2;
-
-fn cone_is_global(cone_len: usize, num_nodes: usize) -> bool {
-    cone_len * GLOBAL_CONE_DENOM >= num_nodes * GLOBAL_CONE_NUMER
-}
-
-/// Union-frontier budget of the batched pending overlay: once the pending
+/// Union-frontier budget of the pending overlay: once the pending
 /// frontier covers at least this fraction of the netlist (3/4), deferring
 /// further moves stops paying — every query would treat nearly the whole
 /// circuit as dirty — so the layer materializes early.
@@ -203,16 +143,15 @@ impl Fingerprint {
     }
 }
 
-/// The cached COP solution at the baseline weight vector.
-#[derive(Debug, Clone)]
-struct Baseline {
-    fingerprint: Fingerprint,
-    weights: Vec<f64>,
-    p: Vec<f64>,
-    obs: Vec<f64>,
-    /// Pin observabilities, edge-indexed: pin `pin` of gate `g` lives at
-    /// `circuit.fanin_offset(g) + pin` (same layout as the fanin CSR).
-    pin_obs: Vec<f64>,
+/// Union-frontier nodes outside `cone` (both sorted ascending).
+fn outside<'a>(frontier: &'a [NodeId], cone: &'a [NodeId]) -> impl Iterator<Item = NodeId> + 'a {
+    let mut j = 0;
+    frontier.iter().copied().filter(move |&id| {
+        while j < cone.len() && cone[j] < id {
+            j += 1;
+        }
+        !(j < cone.len() && cone[j] == id)
+    })
 }
 
 /// Incremental cone-restricted COP engine (see the module docs).
@@ -243,25 +182,21 @@ struct Baseline {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IncrementalCop {
-    /// Global-cone stateless guard (see [`cone_is_global`]); on by
-    /// default, off for tests/ablations that must force the incremental
-    /// path regardless of cone size.  Batched mode ignores it: the
-    /// pending overlay *is* the global-cone strategy.
-    global_cone_guard: bool,
-    /// Commit batch size `K`: `≤ 1` commits every coordinate move
-    /// immediately (the PR 3 behavior); `≥ 2` defers up to `K` moves in
-    /// the pending overlay before materializing.
+    /// Commit batch size `K`: up to `K` moves stay pending before the
+    /// layer materializes (`1` = after every move).
     commit_batch: usize,
+    /// Circuit of the baseline and the cone cache; `None` before the
+    /// first call.
+    fingerprint: Option<Fingerprint>,
+    baseline: CopSolution,
     /// Current effective weight vector: `baseline.weights` plus every
-    /// pending (deferred, not yet materialized) coordinate move.  Equal
-    /// to `baseline.weights` whenever the pending layer is empty — in
-    /// particular always, in unbatched mode.
+    /// pending (not yet materialized) coordinate move.
     pending_weights: Vec<f64>,
     /// Deferred moves since the last materialization.
     pending_count: usize,
     /// Union of the pending coordinates' fanout cones: the only nodes
     /// whose baseline values may be stale, i.e. the dirty frontier every
-    /// batched query must overlay.
+    /// query must overlay.
     union: ConeUnion,
     /// Scratch for `union ∪ cone(queried coordinate)`.
     merged_cone: Vec<NodeId>,
@@ -271,51 +206,37 @@ pub struct IncrementalCop {
     /// queried coordinate's cone reads the same probability in every
     /// query epoch until a deferred move dirties it (the query override
     /// only reaches the queried cone, and fanout closures cannot leak
-    /// into it from outside), so batched query pairs seed their overlay
-    /// from this cache instead of re-walking the frontier from the
-    /// baseline.  Invalidation is cone-grained: each deferred move
-    /// clears exactly its own fanout cone; materialization and rebuilds
-    /// retire the whole layer by advancing the token.
+    /// into it from outside), so query pairs seed their overlay from
+    /// this cache instead of re-walking the frontier from the baseline.
+    /// Invalidation is cone-grained: each deferred move clears exactly
+    /// its own fanout cone; materialization and rebuilds retire the whole
+    /// layer by advancing the token.
     pending_p_scratch: Vec<f64>,
     pending_p_stamp: Vec<u32>,
     pending_token: u32,
-    baseline: Option<Baseline>,
     cones: FanoutCones,
-    /// Circuit the cone cache belongs to (the cache outlives baseline
-    /// rebuilds, but not a circuit switch).
-    cone_fingerprint: Option<Fingerprint>,
-    /// Overlay epoch; a scratch slot is live iff its stamp equals this.
-    epoch: u32,
-    p_scratch: Vec<f64>,
-    p_stamp: Vec<u32>,
-    obs_scratch: Vec<f64>,
-    /// One stamp for a node's observability *and* its pin observabilities
-    /// (they are always recomputed together).
-    obs_stamp: Vec<u32>,
-    /// Edge-indexed like [`Baseline::pin_obs`].
-    pin_scratch: Vec<f64>,
-    queue_stamp: Vec<u32>,
-    touched_p: Vec<NodeId>,
-    touched_obs: Vec<NodeId>,
+    overlay: CopOverlay,
     /// Query mask: a node is in the current query region iff its stamp
     /// equals `query_token`.  The region is the fanout closure of the
     /// queried fault sites — exactly the nodes whose observability a
     /// query can read, directly or transitively (the closure is closed
     /// under the obs-dependency relation, since a node's observability
-    /// depends only on its own fanout).  Non-committing perturbations
-    /// restrict their backward walk to it.
+    /// depends only on its own fanout).
     query_stamp: Vec<u32>,
     query_token: u32,
     /// Site fingerprint of the fault list the mask was built for.
     query_sites: Vec<u32>,
+    /// Rebuild and pending-layer counters; the overlay counts its own
+    /// node evaluations.
     stats: IncrementalStats,
 }
 
 impl Default for IncrementalCop {
     fn default() -> Self {
         IncrementalCop {
-            global_cone_guard: true,
-            commit_batch: 1,
+            commit_batch: 4,
+            fingerprint: None,
+            baseline: CopSolution::default(),
             pending_weights: Vec::new(),
             pending_count: 0,
             union: ConeUnion::new(),
@@ -323,18 +244,8 @@ impl Default for IncrementalCop {
             pending_p_scratch: Vec::new(),
             pending_p_stamp: Vec::new(),
             pending_token: 1,
-            baseline: None,
             cones: FanoutCones::new(),
-            cone_fingerprint: None,
-            epoch: 0,
-            p_scratch: Vec::new(),
-            p_stamp: Vec::new(),
-            obs_scratch: Vec::new(),
-            obs_stamp: Vec::new(),
-            pin_scratch: Vec::new(),
-            queue_stamp: Vec::new(),
-            touched_p: Vec::new(),
-            touched_obs: Vec::new(),
+            overlay: CopOverlay::default(),
             query_stamp: Vec::new(),
             query_token: 0,
             query_sites: Vec::new(),
@@ -344,30 +255,17 @@ impl Default for IncrementalCop {
 }
 
 impl IncrementalCop {
-    /// Creates the engine (no baseline yet; the first call builds one).
+    /// Creates the engine (commit batch 4; no baseline yet, the first
+    /// call builds one).
     pub fn new() -> Self {
         IncrementalCop::default()
     }
 
-    /// Enables or disables the global-cone stateless guard (on by
-    /// default).  With the guard off, every coordinate takes the
-    /// incremental overlay path no matter how large its fanout cone —
-    /// useful for tests and ablations; results are bit-identical either
-    /// way.
-    pub fn with_global_cone_guard(mut self, enabled: bool) -> Self {
-        self.global_cone_guard = enabled;
-        self
-    }
-
-    /// Sets the commit batch size `K` of the pending overlay.
-    ///
-    /// `0` and `1` both mean "commit every coordinate move immediately"
-    /// — the exact PR 3 per-move behavior, work pattern included.  With
-    /// `K ≥ 2` the engine defers up to `K` moves in a pending overlay
-    /// (free at move time), answers queries through
-    /// `baseline ∪ pending ∪ query-overlay`, and materializes the layer
-    /// in one shared resolve pass when `K` moves accumulate, the union
-    /// frontier exceeds its budget, or an unmasked
+    /// Sets the commit batch size `K` of the pending overlay: up to `K`
+    /// coordinate moves are deferred (free at move time) before the layer
+    /// materializes in one shared resolve pass; `0` and `1` materialize
+    /// after every move.  The layer also materializes when the union
+    /// frontier exceeds its budget or an unmasked
     /// [`estimate`](DetectionProbabilityEngine::estimate) arrives.
     /// Results are bit-identical for every `K`.
     pub fn with_commit_batch(mut self, batch: usize) -> Self {
@@ -375,23 +273,13 @@ impl IncrementalCop {
         self
     }
 
-    /// The configured commit batch size (`1` = per-move commits).
-    pub fn commit_batch(&self) -> usize {
-        self.commit_batch
-    }
-
-    /// Whether deferred-commit batching is active.
-    fn batched(&self) -> bool {
-        self.commit_batch > 1
-    }
-
     /// Number of deferred coordinate moves currently pending.
     pub fn pending_len(&self) -> usize {
         self.pending_count
     }
 
-    /// Size of the pending union frontier (dirty-node count a batched
-    /// query overlays on top of the baseline).
+    /// Size of the pending union frontier (dirty-node count a query
+    /// overlays on top of the baseline).
     pub fn pending_frontier(&self) -> usize {
         self.union.len()
     }
@@ -403,9 +291,7 @@ impl IncrementalCop {
     pub fn flush_pending(&mut self, circuit: &Circuit) {
         if self.pending_count > 0 {
             assert!(
-                self.baseline
-                    .as_ref()
-                    .is_some_and(|b| b.fingerprint == Fingerprint::of(circuit)),
+                self.fingerprint == Some(Fingerprint::of(circuit)),
                 "flush_pending needs the circuit the pending moves were recorded for"
             );
             self.materialize(circuit);
@@ -415,64 +301,44 @@ impl IncrementalCop {
     /// Work counters accumulated since construction (or the last
     /// [`reset_stats`](IncrementalCop::reset_stats)).
     pub fn stats(&self) -> IncrementalStats {
-        self.stats
+        let mut stats = self.stats;
+        stats.forward_evaluations += self.overlay.evals.forward;
+        stats.backward_evaluations += self.overlay.evals.backward;
+        stats.node_evaluations = stats.forward_evaluations + stats.backward_evaluations;
+        stats
     }
 
     /// Zeroes the work counters.
     pub fn reset_stats(&mut self) {
         self.stats = IncrementalStats::default();
+        self.overlay.evals = Evals::default();
     }
 
-    /// Advances the overlay epoch, invalidating all scratch values.
-    fn next_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // Extremely rare wrap: reset stamps (same trick as the
-            // fault simulator's per-fault epoch).
-            self.p_stamp.fill(0);
-            self.obs_stamp.fill(0);
-            self.queue_stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.touched_p.clear();
-        self.touched_obs.clear();
-    }
-
-    /// Drops the cone cache when `circuit` is not the one it was built
-    /// for (the cache survives baseline rebuilds at new weights — cones
-    /// are structural — but not a circuit switch).
-    fn sync_cones(&mut self, circuit: &Circuit) {
-        let fingerprint = Fingerprint::of(circuit);
-        if self.cone_fingerprint.as_ref() != Some(&fingerprint) {
-            self.cones.clear();
-            self.cone_fingerprint = Some(fingerprint);
-        }
+    /// Places the overlay epoch counter (tests drive it across the wrap).
+    #[cfg(test)]
+    pub(crate) fn set_overlay_epoch(&mut self, epoch: u32) {
+        self.overlay.set_epoch(epoch);
     }
 
     /// Full two-pass rebuild of the baseline at `weights`.
     fn rebuild(&mut self, circuit: &Circuit, weights: &[f64]) {
-        self.sync_cones(circuit);
         let fingerprint = Fingerprint::of(circuit);
-        let p = signal_probabilities_cop(circuit, weights);
-        let (obs, pin_obs) = observabilities_cop(circuit, &p);
+        if self.fingerprint != Some(fingerprint) {
+            // Cones are structural: they survive rebuilds at new weights,
+            // but not a circuit switch.
+            self.cones.clear();
+            self.fingerprint = Some(fingerprint);
+        }
+        self.baseline = CopSolution::compute(circuit, weights);
         let n = circuit.num_nodes();
         self.stats.full_rebuilds += 1;
-        self.stats.node_evaluations += 2 * n as u64;
         self.stats.forward_evaluations += n as u64;
         self.stats.backward_evaluations += n as u64;
-        self.p_scratch = vec![0.0; n];
-        self.obs_scratch = vec![0.0; n];
-        self.pin_scratch = pin_obs.clone();
-        self.p_stamp = vec![0; n];
-        self.obs_stamp = vec![0; n];
-        self.queue_stamp = vec![0; n];
+        self.overlay.reset(circuit);
         self.query_stamp = vec![0; n];
         self.query_token = 0;
         // Sentinel no fault list can match (no valid site has this index).
         self.query_sites = vec![u32::MAX];
-        self.epoch = 0;
-        self.touched_p.clear();
-        self.touched_obs.clear();
         // A rebuild lands exactly at `weights`: nothing is pending.
         self.pending_weights.clear();
         self.pending_weights.extend_from_slice(weights);
@@ -481,37 +347,23 @@ impl IncrementalCop {
         self.pending_p_scratch = vec![0.0; n];
         self.pending_p_stamp = vec![0; n];
         self.pending_token = 1;
-        self.baseline = Some(Baseline {
-            fingerprint,
-            weights: weights.to_vec(),
-            p,
-            obs,
-            pin_obs,
-        });
     }
 
     /// Brings the engine's effective state (baseline plus pending layer)
-    /// to exactly `weights`: a no-op when already there, a
-    /// cone-restricted commit (unbatched) or a free pending move
-    /// (batched) when one coordinate moved, a full rebuild otherwise
-    /// (first call, new circuit, or a multi-coordinate jump such as a
-    /// restart from fresh starting weights).
+    /// to exactly `weights`: a no-op when already there, a free pending
+    /// move when one coordinate moved, a full rebuild otherwise (first
+    /// call, new circuit, or a multi-coordinate jump such as a restart
+    /// from fresh starting weights).
     fn ensure_baseline(&mut self, circuit: &Circuit, weights: &[f64]) {
         assert_eq!(
             weights.len(),
             circuit.num_inputs(),
             "one probability per primary input"
         );
-        let up_to_date = match &self.baseline {
-            Some(b) => b.fingerprint == Fingerprint::of(circuit),
-            None => false,
-        };
-        if !up_to_date {
+        if self.fingerprint != Some(Fingerprint::of(circuit)) {
             self.rebuild(circuit, weights);
             return;
         }
-        // Diff against the *effective* weights (pending included); equal
-        // to the baseline weights whenever nothing is pending.
         let mut diff = None;
         for (k, (&new, &old)) in weights.iter().zip(&self.pending_weights).enumerate() {
             if new != old {
@@ -525,22 +377,7 @@ impl IncrementalCop {
             }
         }
         if let Some(coordinate) = diff {
-            let value = weights[coordinate];
-            if self.batched() {
-                self.pending_move(circuit, coordinate, value);
-                return;
-            }
-            let root = circuit.inputs()[coordinate];
-            let cone_len = self.cones.cone(circuit, root).len();
-            if self.global_cone_guard && cone_is_global(cone_len, circuit.num_nodes()) {
-                // The dirty region is essentially the whole circuit: two
-                // linear passes are cheaper than the overlay walk.
-                self.rebuild(circuit, weights);
-                return;
-            }
-            self.stats.incremental_commits += 1;
-            self.perturb(circuit, coordinate, value);
-            self.commit(circuit, coordinate, value);
+            self.pending_move(circuit, coordinate, weights[coordinate]);
         }
     }
 
@@ -570,47 +407,29 @@ impl IncrementalCop {
     }
 
     /// Resolves the whole pending layer into the baseline with one
-    /// shared pass pair: an eager forward walk over the union frontier
-    /// (sorted ids = topological order) at the pending weights, then one
-    /// backward push-on-change walk seeded from everything the forward
-    /// pass actually dirtied.  `K` deferred moves with heavily
-    /// overlapping dirty regions collapse into a single union-sized
-    /// region here — the amortization the batch exists for.
+    /// shared eager overlay walk over the union frontier at the pending
+    /// weights, then folds the overlay into the baseline.  `K` deferred
+    /// moves with heavily overlapping dirty regions collapse into a
+    /// single union-sized region here — the amortization the batch
+    /// exists for.
     fn materialize(&mut self, circuit: &Circuit) {
         if self.pending_count == 0 {
             return;
         }
         self.stats.materializations += 1;
         self.stats.union_frontier_sum += self.union.len() as u64;
-        self.next_epoch();
-        let epoch = self.epoch;
-        let baseline = self.baseline.as_ref().expect("materialize needs a baseline");
-
-        // One shared forward+backward overlay walk over the union
-        // frontier at the pending weights (the same helper the per-move
-        // commit uses over a single cone; the dirty-region induction is
-        // identical with "input i's cone" generalized to the frontier).
-        eager_overlay_walk(
+        self.overlay.next_epoch();
+        let weights = &self.pending_weights;
+        self.overlay.eager_walk(
             circuit,
+            &self.baseline,
             self.union.as_slice(),
-            &|k: usize| self.pending_weights[k],
-            baseline,
-            epoch,
-            &mut self.p_stamp,
-            &mut self.p_scratch,
-            &mut self.obs_stamp,
-            &mut self.obs_scratch,
-            &mut self.pin_scratch,
-            &mut self.queue_stamp,
-            &mut self.touched_p,
-            &mut self.touched_obs,
-            &mut self.stats,
+            &|k| weights[k],
+            &|id| circuit.node(id).kind(),
+            &[],
         );
-
-        // Fold the overlay into the baseline and retire the layer.
-        let baseline = self.baseline.as_mut().expect("materialize needs a baseline");
-        baseline.weights.copy_from_slice(&self.pending_weights);
-        self.fold_overlay_into_baseline(circuit);
+        self.baseline.weights.copy_from_slice(&self.pending_weights);
+        self.overlay.fold_into(circuit, &mut self.baseline);
         self.union.clear();
         self.pending_count = 0;
         // The cached values now coincide with the new baseline: retire
@@ -622,245 +441,99 @@ impl IncrementalCop {
         }
     }
 
-    /// Writes the current overlay into the baseline, moving the baseline
-    /// weight vector to the perturbed point.
-    fn commit(&mut self, circuit: &Circuit, coordinate: usize, value: f64) {
-        let baseline = self.baseline.as_mut().expect("commit needs a baseline");
-        baseline.weights[coordinate] = value;
-        self.pending_weights[coordinate] = value;
-        self.fold_overlay_into_baseline(circuit);
-    }
-
-    /// Copies every epoch-touched overlay value (probabilities,
-    /// observabilities, pin observabilities) into the baseline — the
-    /// value half of a commit, shared by the per-move and materializing
-    /// paths; callers update the baseline weight vector themselves.
-    fn fold_overlay_into_baseline(&mut self, circuit: &Circuit) {
-        let baseline = self.baseline.as_mut().expect("fold needs a baseline");
-        for &id in &self.touched_p {
-            baseline.p[id.index()] = self.p_scratch[id.index()];
-        }
-        for &id in &self.touched_obs {
-            let idx = id.index();
-            baseline.obs[idx] = self.obs_scratch[idx];
-            let lo = circuit.fanin_offset(id);
-            let hi = lo + circuit.fanin(id).len();
-            baseline.pin_obs[lo..hi].copy_from_slice(&self.pin_scratch[lo..hi]);
-        }
-    }
-
-    /// Computes the overlay for `x_coordinate := value`, leaving the
-    /// baseline untouched.  After this call, overlay lookups (stamped
-    /// slots) combined with baseline fallbacks reproduce — bit for bit —
-    /// what a full COP evaluation at the perturbed vector would return.
-    fn perturb(&mut self, circuit: &Circuit, coordinate: usize, value: f64) {
-        self.next_epoch();
-        let epoch = self.epoch;
-        let root = circuit.inputs()[coordinate];
-        let baseline = self.baseline.as_ref().expect("perturb needs a baseline");
-        if baseline.weights[coordinate] == value {
-            return; // identity perturbation: nothing dirty
-        }
-        self.stats.perturbations += 1;
-
-        // Forward over input i's fanout cone, then the backward
-        // push-on-change walk, through the shared eager helper.
-        let cone = self.cones.cone(circuit, root);
-        let baseline = self.baseline.as_ref().expect("perturb needs a baseline");
-        eager_overlay_walk(
-            circuit,
-            cone,
-            &|k: usize| {
-                if k == coordinate {
-                    value
-                } else {
-                    baseline.weights[k]
-                }
-            },
-            baseline,
-            epoch,
-            &mut self.p_stamp,
-            &mut self.p_scratch,
-            &mut self.obs_stamp,
-            &mut self.obs_scratch,
-            &mut self.pin_scratch,
-            &mut self.queue_stamp,
-            &mut self.touched_p,
-            &mut self.touched_obs,
-            &mut self.stats,
-        );
-    }
-
-    /// Query-restricted perturbation: like [`perturb`](Self::perturb) but
-    /// never committed, so it computes only what answering `faults` needs:
+    /// Query-only perturbation `x_coordinate := value` over the pending
+    /// layer, leaving the baseline untouched: computes only what
+    /// answering `faults` reads (see the module docs), in a fresh overlay
+    /// epoch.  Callers prepare the merged cone
+    /// ([`refresh_merged_cone`](Self::refresh_merged_cone)) and the query
+    /// mask ([`refresh_query_mask`](Self::refresh_query_mask)) first.
     ///
-    /// * signal probabilities **on demand** ([`lazy_probability`]) — at
-    ///   fault-activation nodes and at the fanins of backward-recomputed
-    ///   gates — instead of walking the whole fanout cone;
-    /// * observabilities only inside the query mask (the fanout closure of
-    ///   the queried sites, see
-    ///   [`refresh_query_mask`](Self::refresh_query_mask)), seeded
-    ///   conservatively with every sensitization-reactive cone gate in the
-    ///   mask (without an eager forward walk the exact probability-dirty
-    ///   set is unknown; a seed whose inputs turn out unchanged recomputes
-    ///   its baseline values and pushes nothing).
-    ///
-    /// With pending moves outstanding (batched mode), the dirty cone is
-    /// the pending union frontier merged with the queried coordinate's
-    /// cone, and the perturbed weight vector is the pending one with the
-    /// query coordinate overridden — so one epoch overlay carries the
-    /// deferred deltas *and* the hypothetical boundary move, against the
-    /// unmodified baseline.  The same closure/induction arguments apply
-    /// with "input *i*'s cone" replaced by the merged frontier (a union
-    /// of fanout closures is itself closed under fanout, and only merged
-    /// nodes can hold non-baseline probabilities).
-    ///
-    /// Values the query reads are still bit-identical to a full
-    /// recompute's; the caller must invoke
-    /// [`refresh_query_mask`](Self::refresh_query_mask) for `faults`
-    /// first.
-    fn perturb_query(
-        &mut self,
-        circuit: &Circuit,
-        coordinate: usize,
-        value: f64,
-        faults: &FaultList,
-    ) {
-        self.next_epoch();
-        let epoch = self.epoch;
-        let root = circuit.inputs()[coordinate];
-        let baseline = self.baseline.as_ref().expect("perturb needs a baseline");
-        if self.pending_count == 0 && baseline.weights[coordinate] == value {
+    /// The backward walk is seeded conservatively with every
+    /// sensitization-reactive dirty-cone gate in the mask (without an
+    /// eager forward walk the exact probability-dirty set is unknown; a
+    /// seed whose inputs turn out unchanged recomputes its baseline values
+    /// and pushes nothing).  Every cone node that is not a primary input
+    /// has a cone fanin, so these are exactly the candidates whose pin
+    /// observabilities can move without their stem moving first.
+    fn perturb_query(&mut self, circuit: &Circuit, coordinate: usize, value: f64, faults: &FaultList) {
+        self.overlay.next_epoch();
+        if self.pending_count == 0 && self.baseline.weights[coordinate] == value {
             return; // identity perturbation: the baseline answers as-is
         }
         self.stats.perturbations += 1;
+        let root = circuit.inputs()[coordinate];
         if self.pending_count > 0 {
             // Seed this epoch's overlay from the cross-query cache:
             // union-frontier nodes outside the queried cone hold their
-            // pending-weight probability in every epoch (the query
-            // override cannot reach them — a node reading input i's
-            // weight or any cone-dirty fanin would itself be in
-            // `cone(root)` by fanout closure), so a live cached slot is
-            // exactly what the lazy walk would recompute.  Seeded stamps
-            // short-circuit the DFS before it re-walks the frontier.
+            // pending-weight probability in every epoch (a node reading
+            // input i's weight or any cone-dirty fanin would itself be
+            // in `cone(root)` by fanout closure), so a live cached slot
+            // is exactly what the lazy walk would recompute.
             let root_cone = self.cones.cone(circuit, root);
-            let token = self.pending_token;
-            let mut j = 0;
-            for &id in self.union.as_slice() {
-                while j < root_cone.len() && root_cone[j] < id {
-                    j += 1;
-                }
-                if j < root_cone.len() && root_cone[j] == id {
-                    continue; // queried cone: depends on the override
-                }
+            for id in outside(self.union.as_slice(), root_cone) {
                 let idx = id.index();
-                if self.pending_p_stamp[idx] == token {
-                    self.p_scratch[idx] = self.pending_p_scratch[idx];
-                    self.p_stamp[idx] = epoch;
+                if self.pending_p_stamp[idx] == self.pending_token {
+                    self.overlay.seed_probability(idx, self.pending_p_scratch[idx]);
                     self.stats.pending_cache_hits += 1;
                 }
             }
         }
-        // The merged (union ∪ cone) frontier is prepared once per query
-        // pair by `refresh_merged_cone`; both boundary-point overlays of
-        // the pair read the same merged view.
-        let cone: &[NodeId] = if self.pending_count > 0 {
-            &self.merged_cone
-        } else {
-            self.cones.cone(circuit, root)
+        let query = LazyQuery {
+            cone: if self.pending_count > 0 {
+                self.merged_cone.as_slice()
+            } else {
+                self.cones.cone(circuit, root)
+            },
+            weights: &self.pending_weights,
+            coordinate,
+            value,
+            mask: &self.query_stamp,
+            mask_token: self.query_token,
         };
-        let baseline = self.baseline.as_ref().expect("perturb needs a baseline");
-
-        // Backward walk over the (conservative) dirty region inside the
-        // query mask, in descending node order as always.  Every cone
-        // node that is not a primary input has a cone fanin, so the
-        // sensitization-reactive cone gates are exactly the candidates
-        // whose pin observabilities can move without their stem moving
-        // first (primary inputs have no pins and never react).
-        let mut heap: BinaryHeap<usize> = BinaryHeap::new();
-        let query_token = self.query_token;
-        for &id in cone {
-            let s = id.index();
-            if self.query_stamp[s] == query_token
-                && sens_reacts(circuit.node(id))
-                && self.queue_stamp[s] != epoch
-            {
-                self.queue_stamp[s] = epoch;
-                heap.push(s);
+        for &id in query.cone {
+            if query.in_mask(id.index()) {
+                let node = circuit.node(id);
+                if sens_reacts(node.kind(), node.fanin().len()) {
+                    self.overlay.enqueue(id.index());
+                }
             }
         }
-        while let Some(idx) = heap.pop() {
-            recompute_obs_node(
-                circuit,
-                baseline,
-                epoch,
-                idx,
-                Some((cone, &self.pending_weights, coordinate, value)),
-                Some((&self.query_stamp, query_token)),
-                &mut self.p_stamp,
-                &mut self.p_scratch,
-                &mut self.obs_stamp,
-                &mut self.obs_scratch,
-                &mut self.pin_scratch,
-                &mut self.queue_stamp,
-                &mut heap,
-                &mut self.touched_obs,
-                &mut self.stats,
-            );
-        }
-
+        let kind_of = |id: NodeId| circuit.node(id).kind();
+        self.overlay.drain_backward(circuit, &self.baseline, &kind_of, Some(&query));
         // Force the activation probabilities the fault queries read.
         for (_, fault) in faults.iter() {
             let activation = match fault.site {
                 FaultSite::Output(node) => node,
                 FaultSite::InputPin { gate, pin } => circuit.node(gate).fanin()[pin],
             };
-            lazy_probability(
-                circuit,
-                cone,
-                &self.pending_weights,
-                coordinate,
-                value,
-                baseline,
-                epoch,
-                &mut self.p_stamp,
-                &mut self.p_scratch,
-                &mut self.stats,
-                activation,
-            );
+            self.overlay.lazy_probability(circuit, &self.baseline, &query, activation);
         }
 
-        // Harvest: every union-frontier probability this epoch computed
-        // outside the queried cone is a pending-weight value (same
-        // closure argument as the seed above) — bank it so the next
-        // query epoch starts from it instead of the baseline.
         if self.pending_count > 0 {
+            // Harvest: every frontier probability this epoch computed
+            // outside the queried cone is a pending-weight value (same
+            // closure argument as the seed above) — bank it for the next
+            // query epoch.
             let root_cone = self.cones.cone(circuit, root);
-            let token = self.pending_token;
-            let mut j = 0;
-            for &id in self.union.as_slice() {
-                while j < root_cone.len() && root_cone[j] < id {
-                    j += 1;
-                }
-                if j < root_cone.len() && root_cone[j] == id {
-                    continue;
-                }
+            for id in outside(self.union.as_slice(), root_cone) {
                 let idx = id.index();
-                if self.p_stamp[idx] == epoch && self.pending_p_stamp[idx] != token {
-                    self.pending_p_scratch[idx] = self.p_scratch[idx];
-                    self.pending_p_stamp[idx] = token;
+                if self.pending_p_stamp[idx] != self.pending_token {
+                    if let Some(p) = self.overlay.stamped_probability(idx) {
+                        self.pending_p_scratch[idx] = p;
+                        self.pending_p_stamp[idx] = self.pending_token;
+                    }
                 }
             }
         }
     }
 
-    /// Prepares the effective dirty cone for a batched query pair:
-    /// `pending union frontier ∪ cone(root)` into the merged scratch.
-    /// Called once per [`estimate_coordinate_pair`] invocation (after
+    /// Prepares the dirty cone of a query pair, `pending union frontier ∪
+    /// cone(root)`, once per [`estimate_coordinate_pair`] call (after
     /// `ensure_baseline`, whose materialization may have just emptied
-    /// the pending layer), so both boundary-point overlays share one
-    /// merge.  A no-op when nothing is pending — `perturb_query` then
-    /// reads the plain cached cone.
+    /// the pending layer).  A no-op when nothing is pending —
+    /// `perturb_query` then reads the plain cached cone.
+    ///
+    /// [`estimate_coordinate_pair`]: DetectionProbabilityEngine::estimate_coordinate_pair
     fn refresh_merged_cone(&mut self, circuit: &Circuit, root: NodeId) {
         if self.pending_count > 0 {
             let cone = self.cones.cone(circuit, root);
@@ -904,321 +577,6 @@ impl IncrementalCop {
         }
         self.query_sites = sites;
     }
-
-    /// One stateless full COP evaluation (the `CopEngine` path, same
-    /// shared helpers, so bit-identical) with stats accounting; touches
-    /// neither the baseline nor the overlay.
-    fn stateless_estimate(
-        &mut self,
-        circuit: &Circuit,
-        faults: &FaultList,
-        input_probs: &[f64],
-    ) -> Vec<f64> {
-        let p = signal_probabilities_cop(circuit, input_probs);
-        let (obs, pin_obs) = observabilities_cop(circuit, &p);
-        let nodes = circuit.num_nodes() as u64;
-        self.stats.stateless_estimates += 1;
-        self.stats.node_evaluations += 2 * nodes;
-        self.stats.forward_evaluations += nodes;
-        self.stats.backward_evaluations += nodes;
-        faults
-            .iter()
-            .map(|(_, fault)| {
-                cop_fault_probability(
-                    circuit,
-                    &fault,
-                    &|x: NodeId| p[x.index()],
-                    &|x: NodeId| obs[x.index()],
-                    &|g: NodeId, pin: usize| pin_obs[circuit.fanin_offset(g) + pin],
-                )
-            })
-            .collect()
-    }
-
-    /// Detection probabilities through the overlay-or-baseline view.
-    fn fault_probabilities(&self, circuit: &Circuit, faults: &FaultList) -> Vec<f64> {
-        let baseline = self.baseline.as_ref().expect("needs a baseline");
-        let epoch = self.epoch;
-        let p = |n: NodeId| {
-            if self.p_stamp[n.index()] == epoch {
-                self.p_scratch[n.index()]
-            } else {
-                baseline.p[n.index()]
-            }
-        };
-        let obs = |n: NodeId| {
-            if self.obs_stamp[n.index()] == epoch {
-                self.obs_scratch[n.index()]
-            } else {
-                baseline.obs[n.index()]
-            }
-        };
-        let pin_obs = |g: NodeId, pin: usize| {
-            let e = circuit.fanin_offset(g) + pin;
-            if self.obs_stamp[g.index()] == epoch {
-                self.pin_scratch[e]
-            } else {
-                baseline.pin_obs[e]
-            }
-        };
-        faults
-            .iter()
-            .map(|(_, fault)| cop_fault_probability(circuit, &fault, &p, &obs, &pin_obs))
-            .collect()
-    }
-}
-
-/// Whether a gate's pin sensitization depends on sibling probabilities.
-///
-/// Only the AND/OR families with two or more pins do; XOR, XNOR, NOT and
-/// BUF pins sensitize unconditionally, so such gates need backward
-/// recomputation only when their own stem observability moves — which
-/// push-on-change propagation covers without seeding them.
-fn sens_reacts(node: wrt_circuit::Node<'_>) -> bool {
-    matches!(
-        node.kind(),
-        GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor
-    ) && node.fanin().len() >= 2
-}
-
-/// The committing overlay walk, shared by the per-move perturbation
-/// (`nodes` = one input's fanout cone) and the pending materialization
-/// (`nodes` = the union frontier): one eager forward pass over `nodes`
-/// in topological order at the weights given by `input_prob`, pruning
-/// values that land exactly on the baseline, then one backward
-/// push-on-change walk.
-///
-/// Backward seeds are the nodes whose pin sensitization reacts to a
-/// probability-dirty fanin — only the AND/OR families with two or more
-/// pins have sibling-dependent sensitization; XOR, XNOR, NOT and BUF
-/// pins sensitize unconditionally, so those sinks need recomputation
-/// only when their *own* stem observability moves, which the
-/// push-on-change propagation covers.  Propagation pushes a fanin only
-/// when a recomputed pin observability actually moved.  Descending-id
-/// processing is the full pass's reverse-topological order, so every
-/// sink is settled before its drivers read it.
-#[allow(clippy::too_many_arguments)]
-fn eager_overlay_walk(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    input_prob: &dyn Fn(usize) -> f64,
-    baseline: &Baseline,
-    epoch: u32,
-    p_stamp: &mut [u32],
-    p_scratch: &mut [f64],
-    obs_stamp: &mut [u32],
-    obs_scratch: &mut [f64],
-    pin_scratch: &mut [f64],
-    queue_stamp: &mut [u32],
-    touched_p: &mut Vec<NodeId>,
-    touched_obs: &mut Vec<NodeId>,
-    stats: &mut IncrementalStats,
-) {
-    for &id in nodes {
-        let idx = id.index();
-        let node = circuit.node(id);
-        let new_p = node_probability(circuit, id, node, &input_prob, &|f: NodeId| {
-            if p_stamp[f.index()] == epoch {
-                p_scratch[f.index()]
-            } else {
-                baseline.p[f.index()]
-            }
-        });
-        stats.node_evaluations += 1;
-        stats.forward_evaluations += 1;
-        // Prune: an unchanged value dirties nothing downstream.
-        if new_p != baseline.p[idx] {
-            p_scratch[idx] = new_p;
-            p_stamp[idx] = epoch;
-            touched_p.push(id);
-        }
-    }
-
-    let mut heap: BinaryHeap<usize> = BinaryHeap::new();
-    for &dirty in touched_p.iter() {
-        for &sink in circuit.fanout(dirty) {
-            let s = sink.index();
-            if sens_reacts(circuit.node(sink)) && queue_stamp[s] != epoch {
-                queue_stamp[s] = epoch;
-                heap.push(s);
-            }
-        }
-    }
-    while let Some(idx) = heap.pop() {
-        recompute_obs_node(
-            circuit,
-            baseline,
-            epoch,
-            idx,
-            None,
-            None,
-            p_stamp,
-            p_scratch,
-            obs_stamp,
-            obs_scratch,
-            pin_scratch,
-            queue_stamp,
-            &mut heap,
-            touched_obs,
-            stats,
-        );
-    }
-}
-
-/// Demand-driven perturbed signal probability.
-///
-/// Nodes outside `cone` cannot depend on any perturbed input (queried or
-/// pending) and read the baseline directly; cone nodes are recomputed
-/// (memoized per epoch via `p_stamp`) from their fanins with an explicit
-/// post-order stack, through the same [`node_probability`] helper as the
-/// full pass — so every forced value is bit-identical to what an eager
-/// cone walk would produce.  `weights` is the effective weight vector
-/// (pending moves applied) with coordinate `coordinate` overridden to
-/// `value`; in unbatched mode it is the baseline vector itself.
-#[allow(clippy::too_many_arguments)]
-fn lazy_probability(
-    circuit: &Circuit,
-    cone: &[NodeId],
-    weights: &[f64],
-    coordinate: usize,
-    value: f64,
-    baseline: &Baseline,
-    epoch: u32,
-    p_stamp: &mut [u32],
-    p_scratch: &mut [f64],
-    stats: &mut IncrementalStats,
-    target: NodeId,
-) -> f64 {
-    if p_stamp[target.index()] == epoch {
-        return p_scratch[target.index()];
-    }
-    if cone.binary_search(&target).is_err() {
-        return baseline.p[target.index()];
-    }
-    let mut stack = vec![(target, false)];
-    while let Some((id, expanded)) = stack.pop() {
-        let idx = id.index();
-        if p_stamp[idx] == epoch {
-            continue;
-        }
-        if expanded {
-            let node = circuit.node(id);
-            let new_p = node_probability(
-                circuit,
-                id,
-                node,
-                &|k: usize| {
-                    if k == coordinate {
-                        value
-                    } else {
-                        weights[k]
-                    }
-                },
-                &|f: NodeId| {
-                    if p_stamp[f.index()] == epoch {
-                        p_scratch[f.index()]
-                    } else {
-                        baseline.p[f.index()]
-                    }
-                },
-            );
-            stats.node_evaluations += 1;
-            stats.forward_evaluations += 1;
-            p_scratch[idx] = new_p;
-            p_stamp[idx] = epoch;
-        } else {
-            stack.push((id, true));
-            for &f in circuit.node(id).fanin() {
-                if p_stamp[f.index()] != epoch && cone.binary_search(&f).is_ok() {
-                    stack.push((f, false));
-                }
-            }
-        }
-    }
-    p_scratch[target.index()]
-}
-
-/// One backward-walk step, shared verbatim by the committing
-/// ([`IncrementalCop::perturb`]) and query-restricted
-/// ([`IncrementalCop::perturb_query`]) walks so the recomputation body —
-/// the part the bit-identity invariant rests on — exists exactly once.
-///
-/// Recomputes node `idx`'s stem observability and pin observabilities
-/// from overlay-or-baseline values, stores them in the overlay, and
-/// pushes the fanin of every pin whose value moved.  `lazy_force`
-/// carries the query-mode cone context (dirty cone, effective weights,
-/// queried coordinate, override value): when set, the fanin
-/// probabilities a sensitization-reactive gate reads are forced through
-/// [`lazy_probability`] first (gates with constant sensitization never
-/// read them, so they skip the forcing).  `query_gate` restricts pushes
-/// to the query mask; `None` pushes unconditionally (committing mode).
-#[allow(clippy::too_many_arguments)]
-fn recompute_obs_node(
-    circuit: &Circuit,
-    baseline: &Baseline,
-    epoch: u32,
-    idx: usize,
-    lazy_force: Option<(&[NodeId], &[f64], usize, f64)>,
-    query_gate: Option<(&[u32], u32)>,
-    p_stamp: &mut [u32],
-    p_scratch: &mut [f64],
-    obs_stamp: &mut [u32],
-    obs_scratch: &mut [f64],
-    pin_scratch: &mut [f64],
-    queue_stamp: &mut [u32],
-    heap: &mut BinaryHeap<usize>,
-    touched_obs: &mut Vec<NodeId>,
-    stats: &mut IncrementalStats,
-) {
-    let id = NodeId::from_index(idx);
-    let new_obs = stem_observability(circuit, id, &|sink: NodeId, pin: usize| {
-        let e = circuit.fanin_offset(sink) + pin;
-        if obs_stamp[sink.index()] == epoch {
-            pin_scratch[e]
-        } else {
-            baseline.pin_obs[e]
-        }
-    });
-    stats.node_evaluations += 1;
-    stats.backward_evaluations += 1;
-    let node = circuit.node(id);
-    if let Some((cone, weights, coordinate, value)) = lazy_force {
-        if sens_reacts(node) {
-            // Force the perturbed probabilities the sensitization
-            // products read; constant-sensitization gates read none.
-            for &f in node.fanin() {
-                lazy_probability(
-                    circuit, cone, weights, coordinate, value, baseline, epoch, p_stamp,
-                    p_scratch, stats, f,
-                );
-            }
-        }
-    }
-    obs_scratch[idx] = new_obs;
-    let base = circuit.fanin_offset(id);
-    for pin in 0..node.fanin().len() {
-        let sens = pin_sensitivity(node, pin, &|f: NodeId| {
-            if p_stamp[f.index()] == epoch {
-                p_scratch[f.index()]
-            } else {
-                baseline.p[f.index()]
-            }
-        });
-        pin_scratch[base + pin] = new_obs * sens;
-    }
-    obs_stamp[idx] = epoch;
-    touched_obs.push(id);
-    for (pin, &f) in node.fanin().iter().enumerate() {
-        if pin_scratch[base + pin] != baseline.pin_obs[base + pin] {
-            let fi = f.index();
-            let gated_out = query_gate
-                .is_some_and(|(query_stamp, token)| query_stamp[fi] != token);
-            if !gated_out && queue_stamp[fi] != epoch {
-                queue_stamp[fi] = epoch;
-                heap.push(fi);
-            }
-        }
-    }
 }
 
 impl DetectionProbabilityEngine for IncrementalCop {
@@ -1234,16 +592,11 @@ impl DetectionProbabilityEngine for IncrementalCop {
         // pending layer first.  This is the natural amortized
         // materialization point — once per optimizer sweep.
         self.materialize(circuit);
-        // Invalidate any leftover perturbation overlay so the lookups
-        // read the (now current) baseline.
-        self.next_epoch();
-        self.fault_probabilities(circuit, faults)
+        self.baseline.detection_probabilities(circuit, faults)
     }
 
     /// The incremental hot path: both boundary points of coordinate *i*
-    /// via cone-restricted overlays over the baseline at `weights` —
-    /// merged with the pending union frontier when deferred moves are
-    /// outstanding (batched mode).
+    /// via query overlays over `baseline ∪ pending` at `weights`.
     fn estimate_coordinate_pair(
         &mut self,
         circuit: &Circuit,
@@ -1256,36 +609,13 @@ impl DetectionProbabilityEngine for IncrementalCop {
             "coordinate {coordinate} out of range for {} inputs",
             weights.len()
         );
-        self.sync_cones(circuit);
-        if !self.batched() {
-            let root = circuit.inputs()[coordinate];
-            let cone_len = self.cones.cone(circuit, root).len();
-            if self.global_cone_guard && cone_is_global(cone_len, circuit.num_nodes()) {
-                // Global-cone guard (per-move mode only): answer
-                // statelessly with two full passes per point, leaving the
-                // (possibly stale) baseline untouched — the next
-                // cone-local query reconciles it in one rebuild.  Batched
-                // mode instead answers through the pending overlay, whose
-                // mask-clipped walks beat full passes even on global
-                // cones.
-                let mut perturbed = weights.to_vec();
-                perturbed[coordinate] = 0.0;
-                let at_zero = self.stateless_estimate(circuit, faults, &perturbed);
-                perturbed[coordinate] = 1.0;
-                let at_one = self.stateless_estimate(circuit, faults, &perturbed);
-                return (at_zero, at_one);
-            }
-        }
         self.ensure_baseline(circuit, weights);
-        // These perturbations are never committed, so both directions can
-        // be restricted to what the queries read: probabilities on
-        // demand, observabilities inside the sites' fanout closure.
         self.refresh_merged_cone(circuit, circuit.inputs()[coordinate]);
         self.refresh_query_mask(circuit, faults);
         self.perturb_query(circuit, coordinate, 0.0, faults);
-        let at_zero = self.fault_probabilities(circuit, faults);
+        let at_zero = self.overlay.detection_probabilities(circuit, &self.baseline, faults);
         self.perturb_query(circuit, coordinate, 1.0, faults);
-        let at_one = self.fault_probabilities(circuit, faults);
+        let at_one = self.overlay.detection_probabilities(circuit, &self.baseline, faults);
         (at_zero, at_one)
     }
 
@@ -1340,29 +670,38 @@ mod tests {
 
     #[test]
     fn sweep_walk_commits_incrementally() {
-        // Mimic the optimizer: PREPARE per coordinate, then move it.
+        // Mimic the optimizer: PREPARE per coordinate, then move it.  A
+        // commit batch of 0 or 1 materializes every move on its own, on
+        // the same pending-overlay path as larger batches.
         let c = reconvergent();
         let faults = FaultList::checkpoints(&c);
-        let mut inc = IncrementalCop::new().with_global_cone_guard(false);
-        let mut full = CopEngine::new();
-        let mut w = [0.5, 0.5, 0.5];
         let moves = [0.7, 0.2, 0.9, 0.4, 0.55, 0.1];
-        for (step, &next) in moves.iter().enumerate() {
-            let i = step % 3;
-            let got = inc.estimate_coordinate_pair(&c, &faults, &w, i);
-            let expected = full.estimate_coordinate_pair(&c, &faults, &w, i);
-            assert_eq!(
-                (bits(&got.0), bits(&got.1)),
-                (bits(&expected.0), bits(&expected.1)),
-                "step {step}"
-            );
-            w[i] = next;
+        let mut per_batch = Vec::new();
+        for batch in [0, 1] {
+            let mut inc = IncrementalCop::new().with_commit_batch(batch);
+            let mut full = CopEngine::new();
+            let mut w = [0.5, 0.5, 0.5];
+            for (step, &next) in moves.iter().enumerate() {
+                let i = step % 3;
+                let got = inc.estimate_coordinate_pair(&c, &faults, &w, i);
+                let expected = full.estimate_coordinate_pair(&c, &faults, &w, i);
+                assert_eq!(
+                    (bits(&got.0), bits(&got.1)),
+                    (bits(&expected.0), bits(&expected.1)),
+                    "batch {batch}, step {step}"
+                );
+                assert_eq!(inc.pending_len(), 0, "batch {batch}: nothing stays pending");
+                w[i] = next;
+            }
+            // Only the very first call built a baseline; every weight
+            // move afterwards was one cone-restricted materialization.
+            let stats = inc.stats();
+            assert_eq!(stats.full_rebuilds, 1);
+            assert_eq!(stats.pending_moves as usize, moves.len() - 1);
+            assert_eq!(stats.materializations as usize, moves.len() - 1);
+            per_batch.push(stats);
         }
-        // Only the very first call built a baseline; every weight move
-        // afterwards was a cone-restricted commit.
-        let stats = inc.stats();
-        assert_eq!(stats.full_rebuilds, 1);
-        assert_eq!(stats.incremental_commits as usize, moves.len() - 1);
+        assert_eq!(per_batch[0], per_batch[1], "K = 0 and K = 1 do the same work");
     }
 
     #[test]
@@ -1471,7 +810,6 @@ mod tests {
             let final_expected = full.estimate(&c, &faults, &w);
             assert_eq!(bits(&final_got), bits(&final_expected), "batch {batch}");
             let stats = inc.stats();
-            assert_eq!(stats.incremental_commits, 0, "batched mode never per-move commits");
             assert_eq!(stats.pending_moves as usize, moves.len());
             assert!(stats.materializations >= 1);
             assert!(stats.union_frontier_peak >= 1);
@@ -1524,33 +862,6 @@ mod tests {
         let final_got = inc.estimate(&c, &faults, &w);
         let final_expected = full.estimate(&c, &faults, &w);
         assert_eq!(bits(&final_got), bits(&final_expected));
-    }
-
-    #[test]
-    fn commit_batch_of_zero_or_one_is_exact_per_move_mode() {
-        // `--commit-batch 0|1` must degrade to the PR 3 engine, work
-        // pattern included: identical stats, identical answers.
-        let c = reconvergent();
-        let faults = FaultList::checkpoints(&c);
-        let mut reference = IncrementalCop::new();
-        let mut zero = IncrementalCop::new().with_commit_batch(0);
-        let mut one = IncrementalCop::new().with_commit_batch(1);
-        assert_eq!(zero.commit_batch(), 1);
-        assert_eq!(one.commit_batch(), 1);
-        let mut w = [0.4, 0.6, 0.5];
-        for step in 0..5 {
-            let i = step % 3;
-            let want = reference.estimate_coordinate_pair(&c, &faults, &w, i);
-            for eng in [&mut zero, &mut one] {
-                let got = eng.estimate_coordinate_pair(&c, &faults, &w, i);
-                assert_eq!((bits(&got.0), bits(&got.1)), (bits(&want.0), bits(&want.1)));
-            }
-            w[i] = 0.1 + 0.15 * step as f64;
-        }
-        assert_eq!(zero.stats(), reference.stats());
-        assert_eq!(one.stats(), reference.stats());
-        assert_eq!(reference.stats().pending_moves, 0);
-        assert_eq!(reference.stats().materializations, 0);
     }
 
     #[test]
@@ -1614,9 +925,9 @@ mod tests {
     #[test]
     fn batched_global_cones_avoid_stateless_passes() {
         // Wide AND: every input's cone is global (the whole circuit).
-        // The per-move engine answers statelessly; the batched engine
-        // must answer through the pending overlay instead — and still
-        // bit-identically.
+        // Even so, no query may fall back to full passes: after the
+        // first rebuild every answer comes from the pending overlay —
+        // and still bit-identically.
         let mut src = String::from("OUTPUT(y)\n");
         let mut args = Vec::new();
         for i in 0..6 {
@@ -1637,7 +948,7 @@ mod tests {
             assert_eq!(bits(&got.1), bits(&expected.1), "step {step}");
             w[i] = 0.6 + 0.04 * i as f64;
         }
-        assert_eq!(batched.stats().stateless_estimates, 0);
+        assert_eq!(batched.stats().full_rebuilds, 1);
         assert!(batched.stats().pending_moves > 0);
     }
 

@@ -12,10 +12,13 @@
 //! * [`IncrementalCop`] — the same model with an incremental,
 //!   cone-restricted evaluation strategy (bit-identical estimates) that
 //!   answers the optimizer's single-coordinate PREPARE queries in
-//!   O(fanout cone) instead of O(circuit); its batched pending-overlay
-//!   mode ([`IncrementalCop::with_commit_batch`]) additionally defers
-//!   coordinate commits and resolves them in shared materialization
-//!   passes, which is what keeps wide- and global-cone circuits fast;
+//!   O(fanout cone) instead of O(circuit); coordinate moves are deferred
+//!   in a pending overlay and resolved in shared materialization passes
+//!   ([`IncrementalCop::with_commit_batch`]), which is what keeps wide-
+//!   and global-cone circuits fast;
+//! * [`CopBaseline`] / [`SessionCop`] — an immutable COP solution shared
+//!   across server sessions, with per-session what-if ECO queries that
+//!   virtually replace gate kinds;
 //! * [`StafanEngine`] — STAFAN-style statistical counting on a fault-free
 //!   bit-parallel sample \[AgJa84\];
 //! * [`MonteCarloEngine`] — direct PPSFP fault-simulation sampling;
@@ -29,6 +32,11 @@
 //!
 //! plus exact redundancy identification ([`constant_line_faults`]) in the
 //! spirit of PROTEST's "exact value 0 or 1 … is a proof of redundancy".
+//!
+//! `CopEngine`, `IncrementalCop` and `CopBaseline` hold one COP solution
+//! type, and the two incremental clients share one stamped copy-on-write
+//! overlay over it, so a weight move and a gate-kind override run
+//! through the same walk and the same node helpers as the full passes.
 //!
 //! # Example
 //!
@@ -56,6 +64,7 @@ mod engine;
 mod exact;
 mod hybrid;
 mod incremental;
+mod overlay;
 mod rank;
 mod redundancy;
 mod shared;
