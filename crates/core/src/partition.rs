@@ -230,13 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_pending_engine_matches_full_cop_partitioning() {
+    fn incremental_engine_matches_full_cop_partitioning() {
         // The recursion funnels every optimize() call through the
-        // coordinate-pair hook and interleaves it with direct estimate()
-        // calls on changing fault lists — the pending layer must
-        // materialize at each unmasked query and reproduce the full
-        // engine's partitioning exactly, at the default batch and at
-        // K = 1.
+        // coordinate-pair hook, so the incremental engine must reproduce
+        // the full engine's partitioning exactly, at the default batch
+        // and at K = 1.
         let c = pathological(12);
         let faults = FaultList::checkpoints(&c);
         let config = OptimizeConfig::default();
@@ -255,6 +253,28 @@ mod tests {
             }
             assert_eq!(got.excluded, reference.excluded);
         }
+    }
+
+    #[test]
+    fn batched_pending_engine_matches_full_cop_partitioning() {
+        // Partitioning interleaves optimize() runs with direct
+        // estimate() calls on changing fault lists — the pending layer
+        // must materialize at each unmasked query and stay bit-exact
+        // across the part recursion.
+        let c = pathological(12);
+        let faults = FaultList::checkpoints(&c);
+        let config = OptimizeConfig::default();
+        let mut full = CopEngine::new();
+        let mut batched = wrt_estimate::IncrementalCop::new().with_commit_batch(2);
+        let reference = optimize_partitioned(&c, &faults, &mut full, &config, 3);
+        let got = optimize_partitioned(&c, &faults, &mut batched, &config, 3);
+        assert_eq!(got.parts.len(), reference.parts.len());
+        for (g, r) in got.parts.iter().zip(&reference.parts) {
+            assert_eq!(g.weights, r.weights);
+            assert_eq!(g.test_length.to_bits(), r.test_length.to_bits());
+            assert_eq!(g.fault_ids, r.fault_ids);
+        }
+        assert_eq!(got.excluded, reference.excluded);
     }
 
     #[test]

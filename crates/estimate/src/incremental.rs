@@ -671,37 +671,64 @@ mod tests {
     #[test]
     fn sweep_walk_commits_incrementally() {
         // Mimic the optimizer: PREPARE per coordinate, then move it.  A
-        // commit batch of 0 or 1 materializes every move on its own, on
-        // the same pending-overlay path as larger batches.
+        // commit batch of 1 materializes every move on its own, on the
+        // same pending-overlay path as larger batches.
         let c = reconvergent();
         let faults = FaultList::checkpoints(&c);
         let moves = [0.7, 0.2, 0.9, 0.4, 0.55, 0.1];
-        let mut per_batch = Vec::new();
-        for batch in [0, 1] {
-            let mut inc = IncrementalCop::new().with_commit_batch(batch);
-            let mut full = CopEngine::new();
-            let mut w = [0.5, 0.5, 0.5];
-            for (step, &next) in moves.iter().enumerate() {
-                let i = step % 3;
-                let got = inc.estimate_coordinate_pair(&c, &faults, &w, i);
-                let expected = full.estimate_coordinate_pair(&c, &faults, &w, i);
+        let mut inc = IncrementalCop::new().with_commit_batch(1);
+        let mut full = CopEngine::new();
+        let mut w = [0.5, 0.5, 0.5];
+        for (step, &next) in moves.iter().enumerate() {
+            let i = step % 3;
+            let got = inc.estimate_coordinate_pair(&c, &faults, &w, i);
+            let expected = full.estimate_coordinate_pair(&c, &faults, &w, i);
+            assert_eq!(
+                (bits(&got.0), bits(&got.1)),
+                (bits(&expected.0), bits(&expected.1)),
+                "step {step}"
+            );
+            w[i] = next;
+        }
+        // Only the very first call built a baseline; every weight move
+        // afterwards was one cone-restricted materialization.
+        let stats = inc.stats();
+        assert_eq!(stats.full_rebuilds, 1);
+        assert_eq!(stats.pending_moves as usize, moves.len() - 1);
+        assert_eq!(stats.materializations as usize, moves.len() - 1);
+    }
+
+    #[test]
+    fn commit_batch_of_zero_or_one_is_exact_per_move_mode() {
+        // A commit batch of 0 is clamped to 1: both materialize each move
+        // before the next query, with identical answers and identical
+        // work, and nothing ever stays pending.
+        let c = reconvergent();
+        let faults = FaultList::checkpoints(&c);
+        let mut full = CopEngine::new();
+        let mut zero = IncrementalCop::new().with_commit_batch(0);
+        let mut one = IncrementalCop::new().with_commit_batch(1);
+        let mut w = [0.4, 0.6, 0.5];
+        for step in 0..5 {
+            let i = step % 3;
+            let want = full.estimate_coordinate_pair(&c, &faults, &w, i);
+            for (batch, eng) in [(0, &mut zero), (1, &mut one)] {
+                let got = eng.estimate_coordinate_pair(&c, &faults, &w, i);
                 assert_eq!(
                     (bits(&got.0), bits(&got.1)),
-                    (bits(&expected.0), bits(&expected.1)),
+                    (bits(&want.0), bits(&want.1)),
                     "batch {batch}, step {step}"
                 );
-                assert_eq!(inc.pending_len(), 0, "batch {batch}: nothing stays pending");
-                w[i] = next;
+                assert_eq!(eng.pending_len(), 0, "batch {batch}: nothing stays pending");
             }
-            // Only the very first call built a baseline; every weight
-            // move afterwards was one cone-restricted materialization.
-            let stats = inc.stats();
-            assert_eq!(stats.full_rebuilds, 1);
-            assert_eq!(stats.pending_moves as usize, moves.len() - 1);
-            assert_eq!(stats.materializations as usize, moves.len() - 1);
-            per_batch.push(stats);
+            w[i] = 0.1 + 0.15 * step as f64;
         }
-        assert_eq!(per_batch[0], per_batch[1], "K = 0 and K = 1 do the same work");
+        assert_eq!(
+            zero.stats(),
+            one.stats(),
+            "K = 0 and K = 1 do the same work"
+        );
+        assert_eq!(one.stats().pending_moves, one.stats().materializations);
     }
 
     #[test]
