@@ -1,10 +1,14 @@
 //! Fanout-free-region and reconvergent-fanout census.
 //!
 //! COP's independence assumption is exact on trees and inside fanout-free
-//! regions; its estimation error comes entirely from reconvergent fanout.
-//! This census measures both, giving a structural bound on where the
-//! analytic estimators are exact versus heuristic: a circuit with zero
-//! reconvergent stems has exact COP probabilities everywhere.
+//! regions; its signal-probability error comes entirely from reconvergent
+//! fanout.  This census measures both, giving a structural bound on where
+//! the analytic estimators are exact versus heuristic: a circuit with zero
+//! reconvergent stems has exact COP signal probabilities everywhere.
+//! Observabilities and detection probabilities need more: a fanout stem
+//! whose branches reach different outputs through a shared side input is
+//! not reconvergent, yet COP's stem rule `1 − Π(1 − obs)` treats the
+//! branches as independent.  Without any fanout stem they are exact too.
 
 use wrt_circuit::{Circuit, NodeId};
 
@@ -23,7 +27,9 @@ pub struct StructureCensus {
     /// Size of the largest fanout-free region, in nodes.
     pub max_ffr_size: usize,
     /// `true` when the circuit has no reconvergent stems, i.e. the COP
-    /// signal probabilities and observabilities are exact, not heuristic.
+    /// signal probabilities are exact, not heuristic.  Observabilities may
+    /// still be inexact at fanout stems; they are exact when
+    /// `fanout_stems == 0`.
     pub cop_exact: bool,
 }
 

@@ -14,7 +14,7 @@
 //!   floating inputs, dead gates, and constant-valued gates (circuit
 //!   level, via SCOAP degeneracy);
 //! * [`census`] — a fanout-free-region and reconvergent-fanout census
-//!   that bounds where COP's independence assumption is exact versus
+//!   that bounds where COP's signal probabilities are exact versus
 //!   heuristic;
 //! * integration seeds — [`scoap_seed_weights`] gives the optimizer a
 //!   biased starting point, and the ATPG crate consumes [`Scoap`] for

@@ -136,7 +136,7 @@ impl fmt::Display for AnalysisReport {
             self.census.fanout_stems,
             self.census.reconvergent_stems,
             if self.census.cop_exact {
-                "exact"
+                "signal probabilities exact"
             } else {
                 "heuristic"
             }
@@ -266,7 +266,7 @@ mod tests {
         let r = analyze(&c);
         let text = r.to_string();
         assert!(text.contains("lints: clean"), "{text}");
-        assert!(text.contains("COP exact"), "{text}");
+        assert!(text.contains("COP signal probabilities exact"), "{text}");
         let json = r.to_json();
         assert!(json.contains("\"cop_exact\": true"), "{json}");
         assert!(json.contains("\"findings\": []"), "{json}");

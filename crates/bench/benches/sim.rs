@@ -8,7 +8,7 @@ use wrt_fault::FaultList;
 use wrt_robust::Budget;
 use wrt_sim::{
     fault_coverage, fault_coverage_robust, CoverageResult, LogicSim, PatternSource, SimOptions,
-    WeightedPatterns,
+    WeightedPatterns, SUPPORTED_BLOCK_WORDS,
 };
 
 /// One unbudgeted, fault-dropping run of the fault-simulation driver.
@@ -76,9 +76,9 @@ fn fault_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// The serial dense reference vs the driver's dense inner loop on 1–8
-/// fault shards, one worker thread each (results are bit-identical; only
-/// the wall clock changes).
+/// The serial dense reference vs the driver on 1–8 fault shards, one
+/// worker thread each (results are bit-identical; only the wall clock
+/// changes).
 fn sharded_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("sharded_fault_sim");
     group.sample_size(10);
@@ -96,7 +96,7 @@ fn sharded_fault_sim(c: &mut Criterion) {
         for threads in [1usize, 2, 4, 8] {
             group.bench_function(BenchmarkId::new(format!("sharded{threads}"), name), |b| {
                 b.iter(|| {
-                    black_box(driver(&circuit, &faults, patterns, threads, SimOptions::dense()))
+                    black_box(driver(&circuit, &faults, patterns, threads, SimOptions::default()))
                 });
             });
         }
@@ -104,9 +104,9 @@ fn sharded_fault_sim(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense cone walk vs event-driven sparse propagation at each superblock
-/// width, both on one driver shard (results are bit-identical; only the
-/// wall clock changes).
+/// The serial dense reference (cone walk) vs the driver's event-driven
+/// sparse propagation on one shard at each superblock width (results are
+/// bit-identical; only the wall clock changes).
 fn event_fault_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_fault_sim");
     group.sample_size(10);
@@ -116,9 +116,12 @@ fn event_fault_sim(c: &mut Criterion) {
         let patterns = 1024u64;
         group.throughput(Throughput::Elements(patterns * faults.len() as u64));
         group.bench_function(BenchmarkId::new("dense", name), |b| {
-            b.iter(|| black_box(driver(&circuit, &faults, patterns, 1, SimOptions::dense())));
+            b.iter(|| {
+                let source = WeightedPatterns::equiprobable(circuit.num_inputs(), 7);
+                black_box(fault_coverage(&circuit, &faults, source, patterns, true))
+            });
         });
-        for words in [1usize, 4, 8] {
+        for words in SUPPORTED_BLOCK_WORDS {
             group.bench_function(BenchmarkId::new(format!("event_w{words}"), name), |b| {
                 b.iter(|| {
                     black_box(driver(&circuit, &faults, patterns, 1, SimOptions::event(words)))

@@ -185,7 +185,7 @@ fn chaos_drill(seed: u64, circuit: &Circuit, faults: &FaultList) -> (String, boo
                 patterns,
                 true,
                 2,
-                SimOptions::dense(),
+                SimOptions::default(),
                 &Budget::unlimited(),
             );
             match robust {

@@ -1,6 +1,7 @@
-//! Machine-readable PPSFP benchmark: dense cone walk vs event-driven
-//! sparse propagation over multi-word superblocks, both on the one
-//! fault-simulation driver, plus the driver's 1- vs 2-thread wall clock.
+//! Machine-readable PPSFP benchmark: the serial dense reference (cone
+//! walk) vs the fault-simulation driver's event-driven sparse propagation
+//! over 256-pattern superblocks, plus the driver's 1- vs 2-thread wall
+//! clock.
 //!
 //! Writes `BENCH_sim.json`.  The headline metric is
 //! **machine-independent**: gate evaluations per detected fault, dense
@@ -24,11 +25,10 @@
 //! Run with `cargo run --release -p wrt-bench --bin bench_sim`.
 //!
 //! ```text
-//! bench_sim [--patterns N] [--block-words W] [--circuits a,b,...]
-//!           [--out PATH] [--smoke]
+//! bench_sim [--patterns N] [--circuits a,b,...] [--out PATH] [--smoke]
 //! ```
 //!
-//! Defaults: 2048 patterns, `W = 4` (256 patterns per event pass), the
+//! Defaults: 2048 patterns, the
 //! four large workload circuits plus the 11k-gate `tiled_10000_16` and
 //! the 120k-gate `tiled_120000_7` scale circuits, `BENCH_sim.json` in
 //! the current directory.  `--smoke` runs a scaled-down version for CI
@@ -42,7 +42,8 @@ use wrt_fault::FaultList;
 use wrt_robust::Budget;
 use wrt_sim::{
     available_threads, fault_coverage_robust, superblock_split, CoverageResult, EventSimulator,
-    FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock, WeightedPatterns,
+    FaultSimulator, FaultWorklist, PatternSource, SimOptions, SimStats, SuperBlock,
+    WeightedPatterns,
 };
 
 const SEED: u64 = 0xC0DE;
@@ -59,7 +60,8 @@ struct Row {
     detected: usize,
     patterns: u64,
     block_words: usize,
-    /// `None` when the dense baseline is derived, not measured.
+    /// The serial dense reference; `None` when the dense baseline is
+    /// derived, not measured.
     dense_seconds: Option<f64>,
     /// The event inner loop on one driver shard (`--threads 1`).
     event_seconds: f64,
@@ -200,6 +202,28 @@ fn derived_dense_node_evals(circuit: &Circuit, faults: &FaultList, patterns: u64
         .sum()
 }
 
+/// The serial dense reference over the driver's block stream, with fault
+/// dropping: the dense baseline's coverage and work counters.
+fn dense_reference(
+    circuit: &Circuit,
+    faults: &FaultList,
+    patterns: u64,
+) -> (CoverageResult, SimStats) {
+    let mut sim = FaultSimulator::new(circuit, faults);
+    let mut worklist = FaultWorklist::full(faults.len());
+    let mut detected_at = vec![None; faults.len()];
+    let mut source = WeightedPatterns::equiprobable(circuit.num_inputs(), SEED);
+    let mut done = 0;
+    while done < patterns && !worklist.is_empty() {
+        let block = source.next_block((patterns - done).min(64) as u32);
+        sim.detect_block_worklist(&block.words, block.mask(), &mut worklist, true, |i, w| {
+            detected_at[i] = Some(done + u64::from(w.trailing_zeros()));
+        });
+        done += u64::from(block.len);
+    }
+    (CoverageResult::new(detected_at, patterns), sim.stats())
+}
+
 /// One unbudgeted, fault-dropping run of the fault-simulation driver.
 fn driver(
     circuit: &Circuit,
@@ -225,9 +249,9 @@ fn driver(
     (run.result, run.stats)
 }
 
-fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize) -> Row {
+fn bench_circuit(circuit: &Circuit, patterns: u64) -> Row {
     let faults = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
-    let event_opts = SimOptions::event(block_words);
+    let event_opts = SimOptions::default();
     let derive_dense = circuit.num_nodes() > DENSE_DERIVE_NODES;
     // Big derived-baseline rows (the 10^5-gate scale circuit) get one
     // timed run per engine instead of warm-up + best-of-2: their
@@ -245,7 +269,7 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize) -> Row {
         )
     } else {
         let (secs, (dense, dense_stats)) =
-            time_best(2, || driver(circuit, &faults, patterns, 1, SimOptions::dense()));
+            time_best(2, || dense_reference(circuit, &faults, patterns));
         (
             Some(secs),
             dense_stats.node_evals,
@@ -267,7 +291,7 @@ fn bench_circuit(circuit: &Circuit, patterns: u64, block_words: usize) -> Row {
         faults: faults.len(),
         detected: event.num_detected(),
         patterns,
-        block_words,
+        block_words: event_opts.block_words,
         dense_seconds,
         event_seconds,
         event_t2_seconds,
@@ -295,9 +319,7 @@ fn main() {
     let patterns: u64 = flag(&args, "--patterns")
         .map(|v| v.parse().expect("--patterns N"))
         .unwrap_or(if smoke { 512 } else { 2048 });
-    let block_words: usize = flag(&args, "--block-words")
-        .map(|v| v.parse().expect("--block-words W"))
-        .unwrap_or(4);
+    let block_words = SimOptions::default().block_words;
     let out = flag(&args, "--out").unwrap_or("BENCH_sim.json").to_string();
     let circuits: Vec<String> = flag(&args, "--circuits")
         .map(|v| v.split(',').map(str::to_string).collect())
@@ -317,7 +339,7 @@ fn main() {
         });
 
     println!(
-        "PPSFP dense vs event on the driver ({patterns} patterns, W = {block_words}, \
+        "PPSFP dense reference vs the driver ({patterns} patterns, W = {block_words}, \
          1 vs 2 threads, {} cores available)",
         available_threads()
     );
@@ -325,7 +347,7 @@ fn main() {
     for name in &circuits {
         let circuit = wrt_workloads::by_name(name)
             .unwrap_or_else(|| panic!("unknown workload `{name}`"));
-        let row = bench_circuit(&circuit, patterns, block_words);
+        let row = bench_circuit(&circuit, patterns);
         println!(
             "  {:<14} {:>6} faults  evals/detected: dense {:>9.1}{} event {:>8.1} \
              ({:.2}x fewer; {:.2}x from sparsity)  1 vs 2 threads {:.4}s / {:.4}s  identical {}",
@@ -345,7 +367,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. Every run goes through the one fault-simulation driver (fault_coverage_robust, unlimited budget): dense and event rows on one fault shard, event_t2_seconds the same event run on two shards, t2_speedup = event_seconds / event_t2_seconds, to be read against available_parallelism (the host's core count). dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and two-shard event coverage agree exactly, and that the one- and two-shard event runs did identical gate evaluations. Wall-clock fields are host-dependent; with available_parallelism 1 the two-shard column measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"ppsfp_dense_vs_event\",\n  \"note\": \"eval_reduction is the machine-independent 1D headline: gate evaluations per detected fault, dense cone walk (64-pattern blocks) vs event-driven propagation at block_words-word superblocks, over the identical pattern stream. It combines two effects: scheduling sparsity (only nodes the fault effect reaches are evaluated, stopping when the frontier drains - frontier_dieout_rate of excited passes died before a PO) and superblock amortization (one [u64; W] evaluation covers W dense blocks; each event eval does W words of lane work). sparsity_reduction (dense vs event at W = 1, equal granularity) isolates the sparsity share; scheduled_vs_cone_ratio = event/dense evals at the benchmarked W folds both effects. The dense baseline is the serial dense reference (a FaultSimulator over the same block stream, with fault dropping; no option selects it as the driver's inner loop). Every event run goes through the one fault-simulation driver (fault_coverage_robust, unlimited budget): event rows on one fault shard, event_t2_seconds the same event run on two shards, t2_speedup = event_seconds / event_t2_seconds, to be read against available_parallelism (the host's core count). dense_baseline is `measured`, or `derived` on circuits too large for the dense engine, where dense_node_evals = sum over faults of excited_undetected_blocks x (cone size - 1) - the dense engine's own accounting identity, computed from a profiled event run - and dense wall-clock fields are null. bit_identical asserts dense (when measured), event-W1, event and two-shard event coverage agree exactly, and that the one- and two-shard event runs did identical gate evaluations. Wall-clock fields are host-dependent; with available_parallelism 1 the two-shard column measures fan-out overhead, not speedup - the machine-independent eval counts are the comparison that transfers.\",\n  \"patterns\": {},\n  \"block_words\": {},\n  \"available_parallelism\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         patterns,
         block_words,
         available_threads(),

@@ -25,9 +25,7 @@ use wrt_core::OPTIMIZE_CHECKPOINT_KIND;
 #[cfg(test)]
 use wrt_robust::Checkpoint;
 #[cfg(test)]
-use wrt_serve::exec::{circuit_arg, engine_arg, load_circuit, sim_options_arg};
-#[cfg(test)]
-use wrt_sim::SimOptions;
+use wrt_serve::exec::{circuit_arg, engine_arg, load_circuit};
 
 /// The process-wide execution context: one registry (so repeated
 /// in-process calls share parsed circuits and cached baselines, exactly
@@ -224,25 +222,76 @@ mod tests {
 
     #[test]
     fn simulate_sim_engine_flags() {
-        assert_eq!(sim_options_arg(&args(&[])).unwrap(), SimOptions::event(4));
-        assert_eq!(
-            sim_options_arg(&args(&["--engine", "dense"])).unwrap(),
-            SimOptions::dense()
-        );
-        assert_eq!(
-            sim_options_arg(&args(&["--engine", "event", "--block-words", "8"])).unwrap(),
-            SimOptions::event(8)
-        );
-        assert!(sim_options_arg(&args(&["--engine", "dense", "--block-words", "4"])).is_err());
-        assert!(sim_options_arg(&args(&["--block-words", "3"])).is_err());
-        assert!(sim_options_arg(&args(&["--engine", "psychic"])).is_err());
-        // End-to-end: both engines run and the widths are accepted.
-        for engine in ["dense", "event"] {
-            let a = args(&["c880ish", "--patterns", "256", "--engine", engine]);
-            assert!(simulate(&a).is_ok(), "--engine {engine}");
+        // The event loop is the only inner loop and 256-pattern
+        // superblocks its only width: the retired engine and width flags
+        // get the structured unknown-flag error in batch and served mode
+        // alike, never a silently different run.
+        let handle = wrt_serve::server::spawn(Arc::new(Registry::new()), "127.0.0.1:0", None)
+            .expect("server spawns");
+        let retired = [("--engine", "dense"), ("--engine", "event"), ("--block-words", "4")];
+        for (flag, value) in retired {
+            let argv = args(&["simulate", "s1", "--patterns", "64", flag, value]);
+            let batch = run(&argv).expect_err("batch mode refuses the flag");
+            assert!(
+                batch.starts_with(&format!("unknown flag `{flag}` for `simulate`")),
+                "{batch}"
+            );
+            let served = wrt_serve::client::request(&handle.addr().to_string(), &argv)
+                .expect("a frame comes back")
+                .expect_err("served mode refuses the flag");
+            assert_eq!(served.trim_end(), batch.trim_end());
         }
-        let a = args(&["c880ish", "--patterns", "256", "--engine", "event", "--block-words", "2"]);
-        assert!(simulate(&a).is_ok());
+        handle.trigger_shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn out_of_range_weights_are_rejected_in_batch_and_served_mode() {
+        let dir = std::env::temp_dir().join("wrt_cli_weights_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("and3.bench");
+        std::fs::write(
+            &path,
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nm = AND(a, b)\ny = AND(m, c)\n",
+        )
+        .expect("write");
+        let bench = path.to_str().expect("utf8").to_string();
+        let handle = wrt_serve::server::spawn(Arc::new(Registry::new()), "127.0.0.1:0", None)
+            .expect("server spawns");
+        let addr = handle.addr().to_string();
+        let served = |argv: &[String]| {
+            wrt_serve::client::request(&addr, argv).expect("a frame comes back")
+        };
+        let baselines = || {
+            let stat = served(&args(&["stat"])).expect("stat");
+            stat.lines().next().expect("summary line").to_string()
+        };
+        assert!(served(&args(&["load", &bench])).is_ok());
+        let before = baselines();
+        for (weights, bad) in [
+            ("0.5,NaN,0.5", "value 2 is NaN"),
+            ("0.5,0.5,1.5", "value 3 is 1.5"),
+            ("-0.25,2,0.5", "value 1 is -0.25"),
+            ("inf,0.5,0.5", "value 1 is inf"),
+        ] {
+            for verb in [
+                &["estimate", &bench][..],
+                &["eco", &bench, "--set", "m=OR"],
+                &["simulate", &bench, "--patterns", "64"],
+            ] {
+                let mut argv = args(verb);
+                argv.extend(args(&["--weights", weights]));
+                let batch = run(&argv).expect_err("batch mode refuses the weights");
+                assert!(batch.starts_with(&format!("--weights {bad};")), "{batch}");
+                let served = served(&argv).expect_err("served mode refuses the weights");
+                assert_eq!(served.trim_end(), batch.trim_end());
+            }
+        }
+        // No rejected vector left a cached baseline behind.
+        assert_eq!(baselines(), before);
+        assert!(before.ends_with(", 0 baseline(s)"), "{before}");
+        handle.trigger_shutdown();
+        handle.wait();
     }
 
     #[test]
@@ -440,7 +489,10 @@ mod tests {
     #[test]
     fn engine_selection() {
         assert_eq!(engine_arg(&args(&[])).unwrap().name(), "incremental-cop");
-        assert_eq!(engine_arg(&args(&["--engine", "cop"])).unwrap().name(), "cop");
+        // `cop` is the reference incremental-cop is tested against, not a
+        // second implementation a flag picks.
+        let err = engine_arg(&args(&["--engine", "cop"])).err().expect("cop is not an engine");
+        assert!(err.starts_with("unknown engine `cop`"), "{err}");
         assert_eq!(
             engine_arg(&args(&["--engine", "incremental-cop"]))
                 .unwrap()

@@ -1,24 +1,8 @@
 //! `wrt` — command-line front end for the weighted-random-testing
 //! workspace.
 //!
-//! ```text
-//! wrt stats    <netlist.bench | workload>          circuit statistics
-//! wrt analyze  <netlist.bench | workload | all> [--lint] [--json]
-//! wrt estimate <netlist.bench | workload> [--weights w1,w2,…] [--top K]
-//! wrt eco      <netlist.bench | workload> --set g=KIND[,…] [--top K]
-//! wrt optimize <netlist.bench | workload> [--grid G] [--confidence C]
-//!              [--engine cop|stafan|monte-carlo] [--threads T]
-//!              [--seed-weights uniform|scoap]
-//! wrt simulate <netlist.bench | workload> --patterns N [--weights w1,w2,…]
-//!              [--threads T] [--engine dense|event] [--block-words W]
-//! wrt atpg     <netlist.bench | workload> [--backtracks B]
-//!              [--guidance cop|scoap|unguided]
-//! wrt generate [--gates N] [--seed S] [--out FILE]  tiled synthetic netlist
-//! wrt workloads                                    list built-in circuits
-//! wrt serve    [--addr HOST:PORT] [--deadline SECS] resident server
-//! wrt client   <addr> <command ...>                one request to a server
-//! wrt --remote <addr> <command ...>                same thing, prefix form
-//! ```
+//! `wrt help` prints the usage of every command and flag; it is the one
+//! copy, shared with the resident server (`wrt_serve::exec::USAGE`).
 //!
 //! A circuit argument is first tried as a workload registry name
 //! (e.g. `s1`, `c7552ish`), then as a `.bench` file path; `#<uid>`

@@ -30,7 +30,10 @@ use crate::engine::DetectionProbabilityEngine;
 
 /// A primary engine screened and backed by a stateless fallback.
 ///
-/// See the [module docs](self) for the anomaly contract.
+/// Every answer is screened for anomalies — non-finite values or
+/// estimates outside `[0, 1]` — and the first anomaly permanently retires
+/// the primary; the fallback re-answers that query, so callers never
+/// observe a bad value.
 #[derive(Debug)]
 pub struct DegradingEngine<P, F> {
     primary: P,

@@ -212,11 +212,9 @@ impl DetectionProbabilityEngine for StafanEngine {
 ///
 /// The simulation runs on the fault-simulation driver
 /// ([`wrt_sim::detection_counts_robust`], unlimited budget): `threads` worker threads
-/// each own one cone-locality-aware fault shard, and each worker runs the
-/// inner loop selected by `sim_options` — by default the event-driven
-/// superblock engine ([`SimOptions::default`]).  Neither thread count nor
-/// engine choice affects the estimates: all combinations are bit-identical
-/// to the serial dense reference.
+/// each own one cone-locality-aware fault shard and run the driver's
+/// event-driven inner loop.  The thread count does not affect the
+/// estimates: every count is bit-identical to the serial dense reference.
 #[derive(Debug, Clone)]
 pub struct MonteCarloEngine {
     /// Number of simulated patterns per call.
@@ -225,20 +223,16 @@ pub struct MonteCarloEngine {
     pub seed: u64,
     /// Fault-simulation worker threads (`1` = serial, `0` = all cores).
     pub threads: usize,
-    /// PPSFP inner loop (engine kind and superblock width).
-    pub sim_options: SimOptions,
     calls: u64,
 }
 
 impl MonteCarloEngine {
-    /// Creates a serial engine simulating `patterns` patterns per call
-    /// with the default (event-driven) inner loop.
+    /// Creates a serial engine simulating `patterns` patterns per call.
     pub fn new(patterns: u64, seed: u64) -> Self {
         MonteCarloEngine {
             patterns,
             seed,
             threads: 1,
-            sim_options: SimOptions::default(),
             calls: 0,
         }
     }
@@ -246,13 +240,6 @@ impl MonteCarloEngine {
     /// Sets the fault-simulation thread count (`0` = all cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the PPSFP inner loop (estimates are identical either way;
-    /// only the wall clock changes).
-    pub fn with_sim_options(mut self, sim_options: SimOptions) -> Self {
-        self.sim_options = sim_options;
         self
     }
 }
@@ -269,14 +256,7 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             input_probs.to_vec(),
             self.seed.wrapping_add(self.calls.wrapping_mul(0x2545_F491)),
         );
-        frequencies(
-            circuit,
-            faults,
-            source,
-            self.patterns,
-            self.threads,
-            self.sim_options,
-        )
+        frequencies(circuit, faults, source, self.patterns, self.threads)
     }
 
     /// Simulates both probability vectors concurrently, splitting the
@@ -304,7 +284,6 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
             );
         }
         let patterns = self.patterns;
-        let sim_options = self.sim_options;
         let mut source_for = |probs: &[f64]| {
             self.calls += 1;
             WeightedPatterns::new(
@@ -318,10 +297,8 @@ impl DetectionProbabilityEngine for MonteCarloEngine {
         let threads_b = (resolved / 2).max(1);
         let threads_a = (resolved - resolved / 2).max(1);
         std::thread::scope(|scope| {
-            let b = scope.spawn(|| {
-                frequencies(circuit, faults, source_b, patterns, threads_b, sim_options)
-            });
-            let a = frequencies(circuit, faults, source_a, patterns, threads_a, sim_options);
+            let b = scope.spawn(|| frequencies(circuit, faults, source_b, patterns, threads_b));
+            let a = frequencies(circuit, faults, source_a, patterns, threads_a);
             (a, b.join().expect("estimate_pair worker panicked"))
         })
     }
@@ -346,7 +323,6 @@ fn frequencies(
     source: WeightedPatterns,
     patterns: u64,
     threads: usize,
-    sim_options: SimOptions,
 ) -> Vec<f64> {
     let outcome = detection_counts_robust(
         circuit,
@@ -354,7 +330,7 @@ fn frequencies(
         source,
         patterns,
         threads,
-        sim_options,
+        SimOptions::default(),
         &Budget::unlimited(),
     );
     assert!(
@@ -500,22 +476,6 @@ mod tests {
                 .with_threads(threads)
                 .estimate(&c, &faults, &probs);
             assert_eq!(serial, sharded, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn monte_carlo_sim_options_do_not_change_estimates() {
-        let c = tree();
-        let faults = FaultList::full(&c);
-        let probs = [0.4, 0.5, 0.6];
-        let dense = MonteCarloEngine::new(64 * 20, 9)
-            .with_sim_options(SimOptions::dense())
-            .estimate(&c, &faults, &probs);
-        for words in wrt_sim::SUPPORTED_BLOCK_WORDS {
-            let event = MonteCarloEngine::new(64 * 20, 9)
-                .with_sim_options(SimOptions::event(words))
-                .estimate(&c, &faults, &probs);
-            assert_eq!(dense, event, "block_words = {words}");
         }
     }
 

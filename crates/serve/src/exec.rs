@@ -27,12 +27,12 @@ use wrt_core::{
     OPTIMIZE_CHECKPOINT_KIND,
 };
 use wrt_estimate::{
-    CopEngine, DetectionProbabilityEngine, EcoMutation, IncrementalCop, MonteCarloEngine,
-    SessionCop, StafanEngine,
+    DetectionProbabilityEngine, EcoMutation, IncrementalCop, MonteCarloEngine, SessionCop,
+    StafanEngine,
 };
 use wrt_robust::failpoint::{self, sites};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, Progress, RunOutcome};
-use wrt_sim::{fault_coverage_robust, SimEngineKind, SimOptions, WeightedPatterns};
+use wrt_sim::{fault_coverage_robust, SimOptions, WeightedPatterns};
 
 use crate::registry::{weight_key, CircuitEntry, Registry};
 
@@ -53,7 +53,8 @@ commands:
            undriven nets) before parsing.
   estimate <circuit> [--weights w1,w2,...] [--confidence C] [--top K]
            COP detection probabilities over the experiment fault set at
-           the given input weights (default equiprobable): summary
+           the given input weights (one probability in [0, 1] per
+           input; default equiprobable): summary
            statistics, the required weighted-random test length at
            confidence C (default 0.999), and the K hardest faults
            (default 5).  Served warm: the baseline is cached per
@@ -70,21 +71,18 @@ commands:
            [--seed S] [--mc-patterns N] [--seed-weights uniform|scoap]
            [--time-limit SECS] [--max-evals N] [--checkpoint F] [--resume F]
            optimized input probabilities;
-           E = incremental-cop (default; cone-restricted per-coordinate
-           recompute that defers up to 4 coordinate moves in a pending
-           overlay, bit-identical to cop) | cop | stafan | monte-carlo
+           E = incremental-cop (default; COP detection probabilities,
+           recomputed per coordinate over the moved input's cone with up
+           to 4 moves deferred in a pending overlay) | stafan | monte-carlo
            (--seed and --mc-patterns apply to the sampling engines).
            --seed-weights scoap starts the descent at the SCOAP-derived
            input bias instead of the jittered equiprobable point.
   simulate <circuit> --patterns N [--weights w1,w2,...] [--seed S] [--threads T]
-           [--engine dense|event] [--block-words W]
            [--time-limit SECS] [--max-evals N]
-           weighted-random fault simulation on the fault-sharded driver;
-           --engine event (default) runs event-driven sparse propagation
-           over W-word superblocks (--block-words 1|2|4|8|16, default 4);
-           --engine dense is the single-word reference cone walk.
-           Coverage is bit-identical for every engine/width/thread
-           choice.
+           weighted-random fault simulation on the fault-sharded driver:
+           event-driven sparse propagation over 256-pattern superblocks.
+           Coverage is bit-identical for every thread count and equals
+           the dense single-word reference cone walk.
   atpg     <circuit> [--backtracks B] [--guidance cop|scoap|unguided]
            [--degrade] [--time-limit SECS] [--max-evals N]
            [--max-backtracks-total N] [--checkpoint F] [--resume F]
@@ -179,8 +177,8 @@ const VERBS: &[(&str, &[&str])] = &[
     ("eco", &["--set", "--weights", "--top"]),
     ("optimize", &["--grid", "--confidence", "--engine", "--threads", "--seed", "--mc-patterns",
         "--seed-weights", "--time-limit", "--max-evals", "--checkpoint", "--resume"]),
-    ("simulate", &["--patterns", "--weights", "--seed", "--threads", "--engine", "--block-words",
-        "--time-limit", "--max-evals"]),
+    ("simulate", &["--patterns", "--weights", "--seed", "--threads", "--time-limit",
+        "--max-evals"]),
     ("atpg", &["--backtracks", "--guidance", "--degrade", "--time-limit", "--max-evals",
         "--max-backtracks-total", "--checkpoint", "--resume"]),
     ("generate", &["--gates", "--seed", "--out"]),
@@ -378,7 +376,8 @@ fn write_checkpoint(
     }
 }
 
-/// Parses `--weights w1,w2,...` (default equiprobable).
+/// Parses `--weights w1,w2,...` (default equiprobable): one probability
+/// in [0, 1] per primary input.
 fn weights_arg(args: &[String], num_inputs: usize) -> Result<Vec<f64>, String> {
     match flag_value(args, "--weights") {
         None => Ok(vec![0.5; num_inputs]),
@@ -389,6 +388,17 @@ fn weights_arg(args: &[String], num_inputs: usize) -> Result<Vec<f64>, String> {
                 return Err(format!(
                     "--weights needs {num_inputs} values, got {}",
                     parsed.len()
+                ));
+            }
+            // The range test also rejects NaN and the infinities.
+            if let Some((i, w)) = parsed
+                .iter()
+                .enumerate()
+                .find(|(_, w)| !(0.0..=1.0).contains(*w))
+            {
+                return Err(format!(
+                    "--weights value {} is {w}; each weight is a probability in [0, 1]",
+                    i + 1
                 ));
             }
             Ok(parsed)
@@ -730,9 +740,9 @@ pub fn flush(ctx: &ExecContext) -> String {
 /// instead of being silently ignored.
 pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>, String> {
     let engine = flag_value(args, "--engine").unwrap_or("incremental-cop");
-    if !["incremental-cop", "cop", "stafan", "monte-carlo"].contains(&engine) {
+    if !["incremental-cop", "stafan", "monte-carlo"].contains(&engine) {
         return Err(format!(
-            "unknown engine `{engine}` (expected incremental-cop, cop, stafan, or monte-carlo)"
+            "unknown engine `{engine}` (expected incremental-cop, stafan, or monte-carlo)"
         ));
     }
     if engine != "monte-carlo" {
@@ -744,14 +754,13 @@ pub fn engine_arg(args: &[String]) -> Result<Box<dyn DetectionProbabilityEngine>
             }
         }
     }
-    if engine.ends_with("cop") && flag_value(args, "--seed").is_some() {
+    if engine == "incremental-cop" && flag_value(args, "--seed").is_some() {
         return Err("--seed only applies to sampling engines (stafan, monte-carlo)".into());
     }
     let threads: usize = parse_flag(args, "--threads", 0)?;
     let seed: u64 = parse_flag(args, "--seed", 42)?;
     Ok(match engine {
         "incremental-cop" => Box::new(IncrementalCop::new()),
-        "cop" => Box::new(CopEngine::new()),
         "stafan" => Box::new(StafanEngine::new(64 * 256, seed)),
         "monte-carlo" => {
             let patterns: u64 = parse_flag(args, "--mc-patterns", 64 * 256)?;
@@ -839,7 +848,6 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     let seed: u64 = parse_flag(args, "--seed", 42)?;
     let weights = weights_arg(args, circuit.num_inputs())?;
     let threads: usize = parse_flag(args, "--threads", 0)?;
-    let opts = sim_options_arg(args)?;
     let budget = budget_arg(ctx, args)?;
     let faults = entry.experiment_faults();
     let mut out = String::new();
@@ -850,7 +858,7 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
         patterns,
         true,
         threads,
-        opts,
+        SimOptions::default(),
         &budget,
     );
     let robust = match outcome {
@@ -879,34 +887,13 @@ pub fn simulate(ctx: &ExecContext, args: &[String]) -> Result<String, String> {
     if detected > 0 {
         let _ = writeln!(
             out,
-            "engine {}: {} gate evals ({:.1} per detected fault, {:.1} % frontier die-out)",
-            opts.engine,
+            "engine event: {} gate evals ({:.1} per detected fault, {:.1} % frontier die-out)",
             robust.stats.node_evals,
             robust.stats.node_evals as f64 / detected as f64,
             robust.stats.frontier_dieout_rate() * 100.0,
         );
     }
     Ok(out)
-}
-
-/// Parses the simulate subcommand's `--engine dense|event` and
-/// `--block-words W` into validated [`SimOptions`].
-pub fn sim_options_arg(args: &[String]) -> Result<SimOptions, String> {
-    let engine: SimEngineKind = match flag_value(args, "--engine") {
-        None => SimEngineKind::Event,
-        Some(raw) => raw.parse()?,
-    };
-    let default_words = match engine {
-        SimEngineKind::Event => 4,
-        SimEngineKind::Dense => 1,
-    };
-    let block_words: usize = parse_flag(args, "--block-words", default_words)?;
-    let opts = SimOptions {
-        engine,
-        block_words,
-    };
-    opts.validate()?;
-    Ok(opts)
 }
 
 pub fn atpg(ctx: &ExecContext, args: &[String]) -> Result<String, String> {

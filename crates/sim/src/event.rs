@@ -9,10 +9,9 @@
 //! propagation terminates the moment the active frontier drains.  Faults
 //! whose effects die early cost `O(frontier)` instead of `O(cone)`.
 //!
-//! On top of that, blocks are widened from one `u64` to
-//! `W ∈ {1, 2, 4, 8, 16}` words ([`SuperBlock`]): each scheduled node
-//! evaluates `64 * W` patterns
-//! at once through fixed-size `[u64; W]` lanes
+//! On top of that, blocks are widened from one `u64` to `W` words
+//! ([`SuperBlock`]; the driver runs `W ∈ {1, 4}`): each scheduled node
+//! evaluates `64 * W` patterns at once through fixed-size `[u64; W]` lanes
 //! ([`crate::eval_gate_lanes`]), amortizing the scheduling and good-value
 //! lookups across `W`× more patterns and giving the autovectorizer
 //! straight-line SIMD bodies.
@@ -43,7 +42,9 @@
 //!    (with a full reset on the extremely rare u32 wrap), so per-fault
 //!    setup is O(1).
 //!
-//! Detection results are bit-identical to the dense engine for every
+//! This is the fault-simulation driver's only inner loop.  Detection
+//! results are bit-identical to the dense reference
+//! ([`crate::fault_coverage`], [`crate::detection_counts`]) for every
 //! block width, drop mode, and shard count — property-tested in this
 //! module and relied on by the whole stack (`MonteCarloEngine`, the CLI,
 //! the benches).
@@ -55,12 +56,16 @@ use crate::fault_sim::FaultWorklist;
 use crate::logic::{eval_gate_lanes, WideLogicSim};
 use crate::patterns::{PatternBlock, PatternSource};
 
-/// Superblock widths the event engine is monomorphized over.
+/// Superblock widths the event engine is monomorphized over: `W = 4`
+/// (256 patterns per pass) is every caller's width, and `W = 1` runs the
+/// engine at the dense reference's block granularity, which is how
+/// `bench_sim` separates scheduling sparsity from superblock
+/// amortization.
 ///
 /// Adding a width means extending this list *and* the `with_block_words!`
 /// dispatch macro below — the two are the single source of truth every
 /// entry point shares.
-pub const SUPPORTED_BLOCK_WORDS: [usize; 5] = [1, 2, 4, 8, 16];
+pub const SUPPORTED_BLOCK_WORDS: [usize; 2] = [1, 4];
 
 /// Monomorphizes `$body` over the supported superblock widths: `$W`
 /// becomes a `const usize` bound to the runtime value `$w`.  The one copy
@@ -75,20 +80,8 @@ macro_rules! with_block_words {
                 const $W: usize = 1;
                 $body
             }
-            2 => {
-                const $W: usize = 2;
-                $body
-            }
             4 => {
                 const $W: usize = 4;
-                $body
-            }
-            8 => {
-                const $W: usize = 8;
-                $body
-            }
-            16 => {
-                const $W: usize = 16;
                 $body
             }
             _ => unreachable!("SimOptions::validate admits only SUPPORTED_BLOCK_WORDS"),
@@ -97,89 +90,40 @@ macro_rules! with_block_words {
 }
 pub(crate) use with_block_words;
 
-/// Which PPSFP inner loop to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEngineKind {
-    /// The reference engine: one `u64` block, dense per-fault cone walk.
-    Dense,
-    /// Event-driven sparse propagation over `W`-word superblocks.
-    Event,
-}
-
-impl std::fmt::Display for SimEngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimEngineKind::Dense => write!(f, "dense"),
-            SimEngineKind::Event => write!(f, "event"),
-        }
-    }
-}
-
-impl std::str::FromStr for SimEngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(SimEngineKind::Dense),
-            "event" => Ok(SimEngineKind::Event),
-            other => Err(format!("unknown engine `{other}` (expected dense or event)")),
-        }
-    }
-}
-
-/// Configuration of the PPSFP inner loop: engine kind and superblock width.
+/// Configuration of the driver's PPSFP inner loop: the event engine's
+/// superblock width.
 ///
-/// The default is the event-driven engine at `W = 4` (256 patterns per
-/// pass) — bit-identical to [`SimOptions::dense`] everywhere, faster on
-/// every workload circuit (see `BENCH_sim.json`).
+/// The default is `W = 4` (256 patterns per pass).  The width never
+/// changes a result — only the wall clock and the eval counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Inner-loop engine.
-    pub engine: SimEngineKind,
     /// Words per superblock (`64 * block_words` patterns per pass).
-    /// Must be one of [`SUPPORTED_BLOCK_WORDS`]; the dense engine is
-    /// pinned at 1.
+    /// Must be one of [`SUPPORTED_BLOCK_WORDS`].
     pub block_words: usize,
 }
 
 impl SimOptions {
-    /// The reference dense engine (single-word blocks).
-    pub fn dense() -> Self {
-        SimOptions {
-            engine: SimEngineKind::Dense,
-            block_words: 1,
-        }
-    }
-
     /// The event-driven engine at the given superblock width.
     pub fn event(block_words: usize) -> Self {
-        SimOptions {
-            engine: SimEngineKind::Event,
-            block_words,
-        }
+        SimOptions { block_words }
     }
 
-    /// Checks the option combination.
+    /// Checks the superblock width.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message when `block_words` is not a
-    /// supported width, or when a width other than 1 is requested for the
-    /// dense engine (which is inherently single-word).
+    /// supported width.
     pub fn validate(&self) -> Result<(), String> {
-        if !SUPPORTED_BLOCK_WORDS.contains(&self.block_words) {
-            return Err(format!(
+        if SUPPORTED_BLOCK_WORDS.contains(&self.block_words) {
+            Ok(())
+        } else {
+            Err(format!(
                 "block_words must be one of {SUPPORTED_BLOCK_WORDS:?}, got {}",
                 self.block_words
-            ));
+            ))
         }
-        if self.engine == SimEngineKind::Dense && self.block_words != 1 {
-            return Err("the dense engine is single-word; use --engine event for block_words > 1"
-                .to_string());
-        }
-        Ok(())
     }
-
 }
 
 impl Default for SimOptions {
@@ -912,25 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_opts_reports_stats_and_matches_plain_entry() {
-        let c = adder();
-        let faults = wrt_fault::FaultList::full(&c);
-        let plain = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 2), 256, true);
-        let (dense, stats) = coverage(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(3, 2),
-            256,
-            true,
-            1,
-            SimOptions::dense(),
-        );
-        assert_eq!(plain.detected_at(), dense.detected_at());
-        assert!(stats.node_evals > 0);
-        assert!(stats.fault_blocks >= stats.unexcited);
-    }
-
-    #[test]
     fn event_stats_count_frontier_deaths() {
         // y = AND(m, 0-ish): fault on `a` propagates into m but the AND
         // with b = 0 kills it before the output in every pattern.
@@ -965,15 +890,16 @@ mod tests {
     fn event_never_evaluates_more_than_dense() {
         let c = adder();
         let faults = wrt_fault::FaultList::full(&c);
-        let (_, dense) = coverage(
-            &c,
-            &faults,
-            WeightedPatterns::equiprobable(3, 77),
-            512,
-            true,
-            1,
-            SimOptions::dense(),
-        );
+        // The dense reference over the same 8 blocks, with dropping.
+        let mut reference = crate::FaultSimulator::new(&c, &faults);
+        let mut worklist = FaultWorklist::full(faults.len());
+        let mut src = WeightedPatterns::equiprobable(3, 77);
+        for _ in 0..8 {
+            let block = src.next_block(64);
+            let mask = block.mask();
+            reference.detect_block_worklist(&block.words, mask, &mut worklist, true, |_, _| {});
+        }
+        let dense = reference.stats();
         let (_, event) = coverage(
             &c,
             &faults,
@@ -985,6 +911,7 @@ mod tests {
         );
         // Same blocks, same drops at W = 1: the event engine evaluates a
         // subset of each cone.
+        assert_eq!(event.fault_blocks, dense.fault_blocks);
         assert!(
             event.node_evals <= dense.node_evals,
             "event {} vs dense {}",
@@ -995,23 +922,14 @@ mod tests {
 
     #[test]
     fn options_validation() {
-        assert!(SimOptions::default().validate().is_ok());
-        assert!(SimOptions::dense().validate().is_ok());
+        assert_eq!(SimOptions::default(), SimOptions::event(4));
         for w in SUPPORTED_BLOCK_WORDS {
             assert!(SimOptions::event(w).validate().is_ok());
         }
-        assert!(SimOptions::event(3).validate().is_err());
-        assert!(SimOptions::event(32).validate().is_err());
-        assert!(SimOptions {
-            engine: SimEngineKind::Dense,
-            block_words: 4
+        // Retired and never-supported widths alike.
+        for w in [0, 2, 3, 8, 16, 32] {
+            assert!(SimOptions::event(w).validate().is_err(), "W = {w}");
         }
-        .validate()
-        .is_err());
-        assert_eq!("event".parse::<SimEngineKind>().unwrap(), SimEngineKind::Event);
-        assert_eq!("dense".parse::<SimEngineKind>().unwrap(), SimEngineKind::Dense);
-        assert!("psychic".parse::<SimEngineKind>().is_err());
-        assert_eq!(format!("{}", SimEngineKind::Event), "event");
     }
 
     #[test]
@@ -1026,7 +944,7 @@ mod tests {
             64,
             true,
             1,
-            SimOptions::event(5),
+            SimOptions::event(8),
         );
     }
 }
@@ -1045,13 +963,13 @@ mod proptests {
 
         /// The event-driven engine is bit-identical to the dense one —
         /// `detected_at` and `counts` — across random circuits, weights,
-        /// superblock widths 1/2/4/8/16, pattern counts, drop modes, and
+        /// superblock widths 1 and 4, pattern counts, drop modes, and
         /// the driver's thread counts (1 shard and several).
         #[test]
         fn event_is_bit_identical_to_dense(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
-            width_and_threads in (0usize..5, 1usize..7),
+            width_and_threads in (0usize..2, 1usize..7),
             seed in 0u64..1_000,
             patterns in 1u64..700,
             drop in any::<bool>(),
@@ -1106,7 +1024,7 @@ mod proptests {
         fn event_oversharding_is_identical(
             circuit in arb_circuit(),
             seed in 0u64..100,
-            width_idx in 0usize..5,
+            width_idx in 0usize..2,
         ) {
             let faults = FaultList::primary_inputs(&circuit);
             let opts = SimOptions::event(SUPPORTED_BLOCK_WORDS[width_idx]);

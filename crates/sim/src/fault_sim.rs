@@ -4,6 +4,13 @@
 //! each fault is then injected individually and only its output cone is
 //! re-evaluated.  A fault is detected in pattern *j* when some primary
 //! output differs from the fault-free value in bit *j*.
+//!
+//! This dense cone walk is the reference engine, and no option selects
+//! it.  It serves three roles: the serial reference [`fault_coverage`] /
+//! [`detection_counts`] the driver is property-tested against,
+//! [`FaultSimulator::detect_block`] for ATPG fault dropping, BILBO and
+//! multiple-fault simulation, and the driver's second replay of a
+//! poisoned shard.
 
 use wrt_circuit::{transitive_fanout, Circuit, GateKind, NodeId};
 use wrt_fault::{Fault, FaultList};
@@ -52,9 +59,6 @@ pub struct FaultSimulator<'c> {
     faulty: Vec<u64>,
     touched: Vec<u32>,
     epoch: u32,
-    /// Scratch worklist reused by [`FaultSimulator::detect_block_filtered`]
-    /// so repeated filtered calls do not rebuild an index vector per block.
-    filtered_scratch: FaultWorklist,
     stats: SimStats,
 }
 
@@ -88,7 +92,6 @@ impl<'c> FaultSimulator<'c> {
             faulty: vec![0; circuit.num_nodes()],
             touched: vec![0; circuit.num_nodes()],
             epoch: 0,
-            filtered_scratch: FaultWorklist { indices: Vec::new() },
             stats: SimStats::default(),
         }
     }
@@ -127,65 +130,15 @@ impl<'c> FaultSimulator<'c> {
     /// Simulates one block fault-free and returns, for every fault, the
     /// word of patterns that detect it (bit *j* set = pattern *j* detects).
     ///
-    /// Allocates the result vector; streaming callers should prefer
-    /// [`FaultSimulator::detect_block_into`] with a reused buffer.
-    pub fn detect_block(&mut self, pi_words: &[u64], mask: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.detect_block_into(pi_words, mask, &mut out);
-        out
-    }
-
-    /// Like [`FaultSimulator::detect_block`] but writes the per-fault
-    /// detection words into a caller-provided buffer (cleared and refilled),
-    /// so block-streaming loops perform no per-block allocation.
-    pub fn detect_block_into(&mut self, pi_words: &[u64], mask: u64, out: &mut Vec<u64>) {
-        self.good.run(pi_words);
-        out.clear();
-        out.reserve(self.faults.len());
-        for i in 0..self.faults.len() {
-            let w = self.detect_fault_in_block(i, mask);
-            out.push(w);
-        }
-    }
-
-    /// Like [`FaultSimulator::detect_block`] but only for the faults whose
-    /// index satisfies `active`; inactive faults report 0.
-    ///
-    /// Implemented over an internal scratch [`FaultWorklist`] (refilled,
-    /// never reallocated), so only the active faults are visited and the
-    /// call is allocation-free apart from the returned vector — use
-    /// [`FaultSimulator::detect_block_filtered_into`] to avoid that too.
-    /// Streaming callers that drop faults across many blocks should keep a
-    /// persistent worklist and call
+    /// The per-block entry point of ATPG fault dropping, BILBO signature
+    /// checks and multiple-fault simulation; streaming callers keep a
+    /// [`FaultWorklist`] and call
     /// [`FaultSimulator::detect_block_worklist`] instead.
-    pub fn detect_block_filtered(
-        &mut self,
-        pi_words: &[u64],
-        mask: u64,
-        active: &[bool],
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.detect_block_filtered_into(pi_words, mask, active, &mut out);
-        out
-    }
-
-    /// [`FaultSimulator::detect_block_filtered`] into a caller-provided
-    /// buffer: no allocation at all once the buffer and the internal
-    /// scratch worklist have grown to fault-list size.
-    pub fn detect_block_filtered_into(
-        &mut self,
-        pi_words: &[u64],
-        mask: u64,
-        active: &[bool],
-        out: &mut Vec<u64>,
-    ) {
-        assert_eq!(active.len(), self.faults.len(), "one flag per fault");
-        let mut worklist = std::mem::take(&mut self.filtered_scratch);
-        worklist.refill_from_active(active);
-        out.clear();
-        out.resize(self.faults.len(), 0);
-        self.detect_block_worklist(pi_words, mask, &mut worklist, false, |i, w| out[i] = w);
-        self.filtered_scratch = worklist;
+    pub fn detect_block(&mut self, pi_words: &[u64], mask: u64) -> Vec<u64> {
+        self.good.run(pi_words);
+        (0..self.faults.len())
+            .map(|i| self.detect_fault_in_block(i, mask))
+            .collect()
     }
 
     /// Simulates one block fault-free, then visits exactly the faults in
@@ -301,28 +254,6 @@ impl FaultWorklist {
         FaultWorklist {
             indices: (0..u32::try_from(num_faults).expect("fault count fits in u32")).collect(),
         }
-    }
-
-    /// A worklist of the indices whose `active` flag is set.
-    pub fn from_active(active: &[bool]) -> Self {
-        let mut list = FaultWorklist {
-            indices: Vec::new(),
-        };
-        list.refill_from_active(active);
-        list
-    }
-
-    /// Clears the worklist and refills it with the indices whose `active`
-    /// flag is set, reusing the existing allocation.
-    pub fn refill_from_active(&mut self, active: &[bool]) {
-        self.indices.clear();
-        self.indices.extend(
-            active
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(i, _)| i as u32),
-        );
     }
 
     /// Number of faults still active.
@@ -560,30 +491,6 @@ mod tests {
         let sim = FaultSimulator::new(&c, &faults);
         assert_eq!(sim.num_distinct_cones(), 9, "one cone per effect root");
         assert!(sim.num_distinct_cones() < sim.num_faults());
-    }
-
-    #[test]
-    fn filtered_and_into_variants_match_detect_block() {
-        let c = and_circuit();
-        let faults = FaultList::full(&c);
-        let mut sim = FaultSimulator::new(&c, &faults);
-        let words = vec![0b1010, 0b1100];
-        let all = sim.detect_block(&words, 0b1111);
-        let mut buf = Vec::new();
-        sim.detect_block_into(&words, 0b1111, &mut buf);
-        assert_eq!(all, buf);
-        // Filtered with every-other fault active; repeated calls reuse the
-        // internal scratch worklist.
-        let active: Vec<bool> = (0..faults.len()).map(|i| i % 2 == 0).collect();
-        for _ in 0..3 {
-            let filtered = sim.detect_block_filtered(&words, 0b1111, &active);
-            for (i, (&f, &a)) in filtered.iter().zip(&all).enumerate() {
-                assert_eq!(f, if active[i] { a } else { 0 }, "fault {i}");
-            }
-        }
-        let mut out = Vec::new();
-        sim.detect_block_filtered_into(&words, 0b1111, &active, &mut out);
-        assert_eq!(out, sim.detect_block_filtered(&words, 0b1111, &active));
     }
 
     #[test]

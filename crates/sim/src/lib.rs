@@ -10,36 +10,35 @@
 //! All randomness is deterministic and seed-driven ([`Xoshiro256`]), so
 //! every experiment in the workspace is bit-reproducible.
 //!
-//! # Two inner loops, one driver, one dense reference
-//!
-//! Two PPSFP inner loops share one contract (selected via [`SimOptions`],
-//! results always bit-identical):
-//!
-//! * **dense** ([`FaultSimulator`]) — one `u64` block, per-fault cone
-//!   walk.
-//! * **event** ([`EventSimulator`]) — event-driven sparse propagation
-//!   over `W`-word superblocks ([`SuperBlock`], `W ∈ {1, 2, 4, 8, 16}`):
-//!   only nodes actually reached by the fault effect are evaluated, and
-//!   each evaluation covers `64 * W` patterns.  See [`EventSimulator`]
-//!   for the ready-set invariants.
+//! # One driver, one inner loop, one dense reference
 //!
 //! Every fault simulation outside tests runs through **one driver**,
-//! [`fault_coverage_robust`] / [`detection_counts_robust`]: the
-//! collapsed fault list is partitioned into cone-locality-aware,
-//! cost-balanced shards (`wrt_fault::FaultPartition`), each shard gets a
-//! scoped worker thread running the selected inner loop over a compacted
-//! [`FaultWorklist`], and the main thread streams the seed-deterministic
-//! pattern blocks to all workers in bounded chunks.  The driver checks a
-//! [`wrt_robust::Budget`] at every chunk boundary (pass
-//! `Budget::unlimited()` for an unbounded run), replays the shard of a
-//! panicked worker serially ([`ShardRecovery`]), and reports
-//! machine-independent work counters ([`SimStats`]) — the metrics
-//! `BENCH_sim.json` tracks.  `threads = 1` is a single shard.
+//! [`fault_coverage_robust`] / [`detection_counts_robust`], whose only
+//! inner loop is the **event** engine ([`EventSimulator`]): event-driven
+//! sparse propagation over `W`-word superblocks ([`SuperBlock`],
+//! `W ∈ {1, 4}`, default 4 via [`SimOptions`]).  Only nodes actually
+//! reached by the fault effect are evaluated, and each evaluation covers
+//! `64 * W` patterns.  See [`EventSimulator`] for the ready-set
+//! invariants.
 //!
-//! The serial dense [`fault_coverage`] / [`detection_counts`] are the
-//! **reference**: the driver's results equal theirs bit for bit for every
-//! thread count, inner loop and superblock width — a property-tested
-//! invariant that the rest of the workspace relies on.
+//! The driver partitions the collapsed fault list into
+//! cone-locality-aware, cost-balanced shards (`wrt_fault::FaultPartition`),
+//! gives each shard a scoped worker thread over a compacted
+//! [`FaultWorklist`], and streams the seed-deterministic pattern blocks to
+//! all workers in bounded chunks.  It checks a [`wrt_robust::Budget`] at
+//! every chunk boundary (pass `Budget::unlimited()` for an unbounded run),
+//! replays the shard of a panicked worker serially ([`ShardRecovery`]),
+//! and reports machine-independent work counters ([`SimStats`]) — the
+//! metrics `BENCH_sim.json` tracks.  `threads = 1` is a single shard.
+//!
+//! The **dense** engine ([`FaultSimulator`]: one `u64` block, per-fault
+//! cone walk) is not selectable.  It is the serial **reference**
+//! [`fault_coverage`] / [`detection_counts`]: the driver's results equal
+//! theirs bit for bit for every thread count and superblock width — a
+//! property-tested invariant that the rest of the workspace relies on.
+//! It also serves per-block callers ([`FaultSimulator::detect_block`]:
+//! ATPG fault dropping, BILBO, multiple faults) and is the driver's
+//! second replay of a poisoned shard.
 //!
 //! # Example
 //!
@@ -73,8 +72,8 @@ mod test_support;
 
 pub use coverage::{CoverageCurve, CoverageResult};
 pub use event::{
-    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile,
-    SimEngineKind, SimOptions, SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
+    count_set_bits, first_set_bit, superblock_split, EventSimulator, FaultEvalProfile, SimOptions,
+    SimStats, SuperBlock, SUPPORTED_BLOCK_WORDS,
 };
 pub use fault_sim::{detection_counts, fault_coverage, FaultSimulator, FaultWorklist};
 pub use parallel::{

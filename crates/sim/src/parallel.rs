@@ -5,9 +5,10 @@
 //! words depend only on the fault-free block values and the fault's own
 //! cone.  The driver partitions the fault list into cone-locality-aware
 //! shards ([`FaultPartition`]), gives each shard a worker thread owning its
-//! own inner-loop simulator (dense [`FaultSimulator`] or event-driven
-//! [`EventSimulator`]) and compacted [`FaultWorklist`], and streams pattern
-//! blocks to all workers in bounded chunks.  `threads = 1` is one shard.
+//! own event-driven [`EventSimulator`] and compacted [`FaultWorklist`], and
+//! streams pattern blocks to all workers in bounded chunks.  `threads = 1`
+//! is one shard.  The dense [`FaultSimulator`] runs here only as the
+//! second replay of a poisoned shard.
 //!
 //! Design:
 //!
@@ -17,7 +18,7 @@
 //!   every worker simulates *all* patterns against *its* faults.  Results
 //!   are merged by fault id, so the outcome is bit-identical to the dense
 //!   reference ([`crate::fault_coverage`], [`crate::detection_counts`]) —
-//!   same `detected_at`, same counts — for any thread count and engine.
+//!   same `detected_at`, same counts — for any thread count and width.
 //! * **Duplicated good simulation.**  Each worker re-runs the fault-free
 //!   simulation of a block for its own scratch state.  That multiplies the
 //!   (cheap, `O(gates)`) good simulation by the shard count but keeps
@@ -41,7 +42,7 @@
 //! per circuit node per pattern of fault-free simulation.  That makes
 //! `max_evals` a machine- and thread-count-independent measure of the
 //! pattern stream, so an eval-budget interruption at the same value
-//! yields the *bit-identical* partial result across runs, engines, and
+//! yields the *bit-identical* partial result across runs, widths, and
 //! thread counts: the budget resolves upfront to a deterministic pattern
 //! clip `min(num_patterns, max_evals / num_nodes)`.  The real measured
 //! work (which is far lower for the event engine) is still reported via
@@ -66,8 +67,8 @@ use wrt_robust::{
 
 use crate::coverage::CoverageResult;
 use crate::event::{
-    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator,
-    SimEngineKind, SimOptions, SimStats, SuperBlock,
+    count_set_bits, first_set_bit, superblock_split, with_block_words, EventSimulator, SimOptions,
+    SimStats, SuperBlock,
 };
 use crate::fault_sim::{FaultSimulator, FaultWorklist};
 use crate::patterns::{PatternBlock, PatternSource};
@@ -92,8 +93,8 @@ struct Chunk {
 ///
 /// A clean run has zero everything.  When a shard worker dies — a real
 /// panic or an injected one — the driver requeues that shard's fault
-/// worklist for bounded serial replay (same engine first, then the dense
-/// engine); only faults whose shard failed every retry end up in
+/// worklist for bounded serial replay (the event engine first, then the
+/// dense engine); only faults whose shard failed every retry end up in
 /// [`ShardRecovery::unresolved`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardRecovery {
@@ -102,7 +103,7 @@ pub struct ShardRecovery {
     /// Shard replay attempts performed.
     pub replays: usize,
     /// Degradation steps taken ([`DegradeStep::ShardRequeue`], plus
-    /// [`DegradeStep::EventToDense`] when a replay fell back engines).
+    /// [`DegradeStep::EventToDense`] when the second replay ran dense).
     pub ladder: Ladder,
     /// Faults whose shard exhausted its retries; their entries in the
     /// merged result are unchanged from the initial value (undetected /
@@ -204,8 +205,8 @@ impl Tally for u64 {
 /// returns one tally per sublist fault plus the shard's work counters.
 type Worker<'a, T> = dyn Fn(FaultList, Receiver<Arc<Chunk>>) -> (Vec<T>, SimStats) + Sync + 'a;
 
-/// Dense-engine worker: one [`FaultSimulator`] per shard, one 64-pattern
-/// block per pass.
+/// Dense-engine worker — the second replay of a poisoned shard: one
+/// [`FaultSimulator`] per shard, one 64-pattern block per pass.
 fn dense_worker<T: Tally>(
     circuit: &Circuit,
     sublist: FaultList,
@@ -231,8 +232,16 @@ fn dense_worker<T: Tally>(
     (local, sim.stats())
 }
 
-/// Event-engine worker: one [`EventSimulator`] per shard over the
-/// broadcast chunks' `W`-word superblocks.
+/// Uids of circuits whose event workers panic on start: the test hook for
+/// the replay ladder, so a shard's primary run and its event replay both
+/// die and only the dense replay can recover it.  Keyed on the
+/// process-unique [`Circuit::uid`], so tests running in parallel on other
+/// circuits never trip it; non-test builds do not contain it.
+#[cfg(test)]
+static POISONED_EVENT_CIRCUITS: std::sync::Mutex<Vec<u64>> = std::sync::Mutex::new(Vec::new());
+
+/// Event-engine worker, the driver's inner loop: one [`EventSimulator`] per
+/// shard over the broadcast chunks' `W`-word superblocks.
 ///
 /// Superblock boundaries come from [`superblock_split`] — extend only
 /// across full blocks — and `CHUNK_BLOCKS` is a multiple of every
@@ -244,6 +253,14 @@ fn event_worker<const W: usize, T: Tally>(
     rx: Receiver<Arc<Chunk>>,
     drop: bool,
 ) -> (Vec<T>, SimStats) {
+    #[cfg(test)]
+    if POISONED_EVENT_CIRCUITS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .contains(&circuit.uid())
+    {
+        panic!("injected event-worker panic");
+    }
     let mut sim = EventSimulator::<W>::new(circuit, &sublist);
     let mut worklist = FaultWorklist::full(sublist.len());
     let mut local = vec![T::default(); sublist.len()];
@@ -304,9 +321,9 @@ fn stream_chunks(
 }
 
 /// Re-runs one poisoned shard serially: a fresh worker thread fed the
-/// full (deterministic) pattern stream again, over exactly the
-/// `num_patterns` the healthy shards consumed.  Returns `None` if the
-/// replay worker also panicked.
+/// full (deterministic) pattern stream again, over `num_patterns`: the
+/// eval clip, or the prefix streamed before a budget trip.  Returns `None`
+/// if the replay worker also panicked.
 fn replay_shard<T: Send>(
     sublist: FaultList,
     source: impl PatternSource,
@@ -326,7 +343,7 @@ fn replay_shard<T: Send>(
 /// The merged outcome of one driver run.
 struct Driven<T> {
     values: Vec<T>,
-    /// Patterns actually streamed — the eval clip unless a budget axis
+    /// Patterns the run covers — the eval clip unless a budget axis
     /// tripped at a chunk boundary.
     streamed: u64,
     stats: SimStats,
@@ -334,16 +351,16 @@ struct Driven<T> {
 }
 
 /// The driver: validates `opts`, resolves the eval clip and thread count,
-/// fans the fault list out over shard workers running the selected inner
-/// loop, streams the pattern blocks under `budget`, and merges each
-/// worker's per-shard tallies back by fault id.
+/// fans the fault list out over shard workers running the event inner
+/// loop at the configured width, streams the pattern blocks under
+/// `budget`, and merges each worker's per-shard tallies back by fault id.
 ///
 /// # Panic isolation
 ///
 /// A worker panic (or an injected spawn/merge failure from an armed
 /// fail-point session) does not abort the run: the poisoned shard is
 /// requeued for serial replay against a fresh clone of the pattern
-/// source — first on the same engine, then once more on the dense engine
+/// source — first on the event engine, then once more on the dense engine
 /// — which reproduces the lost results bit-identically, because every
 /// worker consumes the same deterministic stream.  Shards that fail every
 /// retry surface their faults in [`ShardRecovery::unresolved`] instead of
@@ -375,11 +392,10 @@ fn drive<T: Tally>(
     };
     let mut tripped = None;
     if !faults.is_empty() {
-        let primary: &Worker<'_, T> = &|sublist, rx| match opts.engine {
-            SimEngineKind::Dense => dense_worker(circuit, sublist, rx, drop),
-            SimEngineKind::Event => with_block_words!(opts.block_words, W => {
+        let primary: &Worker<'_, T> = &|sublist, rx| {
+            with_block_words!(opts.block_words, W => {
                 event_worker::<W, T>(circuit, sublist, rx, drop)
-            }),
+            })
         };
         let fallback: &Worker<'_, T> = &|sublist, rx| dense_worker(circuit, sublist, rx, drop);
         let threads = recommended_threads(threads, faults.len());
@@ -438,6 +454,11 @@ fn drive<T: Tally>(
             }
             outcome
         });
+        // Without a trip the stream also ends once every worker has hung
+        // up, and a dead worker hangs up at once: a replay must still see
+        // the whole clip, or a sole shard that died is replayed over a
+        // prefix.  Replays of a drained worklist hang up on their own.
+        let streamed = if trip.is_some() { streamed } else { target };
         for s in poisoned {
             driven
                 .recovery
@@ -446,7 +467,7 @@ fn drive<T: Tally>(
             let mut recovered = false;
             for (attempt, worker) in [primary, fallback].into_iter().enumerate() {
                 driven.recovery.replays += 1;
-                if attempt == 1 && opts.engine == SimEngineKind::Event {
+                if attempt == 1 {
                     driven.recovery.ladder.record(
                         DegradeStep::EventToDense,
                         format!("shard {s} second replay"),
@@ -495,15 +516,15 @@ fn drive<T: Tally>(
 ///
 /// `threads = 0` resolves via [`recommended_threads`]; `threads = 1` runs
 /// one shard.  Results are bit-identical to the dense reference
-/// [`crate::fault_coverage`] for every thread count, engine and width
+/// [`crate::fault_coverage`] for every thread count and width
 /// (the property tests in this module prove it); pass
 /// [`Budget::unlimited`] for an unbounded run.
 ///
 /// # Panics
 ///
 /// Panics if `opts` fails [`SimOptions::validate`] (programmer error —
-/// the CLI validates engine flags before reaching this point).
-// One argument past the lint's threshold: engine options and budget
+/// no flag sets the width).
+// One argument past the lint's threshold: inner-loop options and budget
 // both belong to the call.
 #[allow(clippy::too_many_arguments)]
 pub fn fault_coverage_robust(
@@ -601,7 +622,7 @@ mod tests {
                 drop,
             );
             for threads in [1, 2, 3, 4, 16] {
-                for opts in [SimOptions::dense(), SimOptions::event(4)] {
+                for opts in [SimOptions::event(1), SimOptions::event(4)] {
                     let (sharded, _) = coverage(
                         &c,
                         &faults,
@@ -626,7 +647,7 @@ mod tests {
         let c = adder();
         let faults = FaultList::full(&c);
         let serial = fault_coverage(&c, &faults, WeightedPatterns::equiprobable(3, 7), 500, true);
-        for opts in [SimOptions::dense(), SimOptions::event(2)] {
+        for opts in [SimOptions::event(1), SimOptions::event(4)] {
             let (one, one_stats) = coverage(
                 &c,
                 &faults,
@@ -662,9 +683,7 @@ mod tests {
         let c = adder();
         let faults = FaultList::full(&c);
         let serial = detection_counts(&c, &faults, WeightedPatterns::equiprobable(3, 9), 700);
-        let engines = std::iter::once(SimOptions::dense())
-            .chain(SUPPORTED_BLOCK_WORDS.iter().map(|&w| SimOptions::event(w)));
-        for opts in engines {
+        for opts in SUPPORTED_BLOCK_WORDS.map(SimOptions::event) {
             for threads in [2, 3] {
                 let (sharded, _) = counts(
                     &c,
@@ -691,7 +710,7 @@ mod tests {
                 WeightedPatterns::equiprobable(3, 23),
                 1000,
                 threads,
-                SimOptions::dense(),
+                SimOptions::default(),
             );
             assert_eq!(serial, sharded, "threads = {threads}");
         }
@@ -711,7 +730,7 @@ mod tests {
             128,
             true,
             4,
-            SimOptions::dense(),
+            SimOptions::default(),
         );
         assert_eq!(r.num_faults(), 1);
         let empty = FaultList::from_faults(vec![]);
@@ -722,7 +741,7 @@ mod tests {
             128,
             true,
             4,
-            SimOptions::dense(),
+            SimOptions::default(),
         );
         assert_eq!(r.num_faults(), 0);
         assert_eq!(r.coverage(), 1.0);
@@ -744,7 +763,7 @@ mod tests {
         assert_eq!(r.num_faults(), 0);
         // Zero patterns: a complete, empty run on both inner loops.
         let faults = FaultList::full(&c);
-        for opts in [SimOptions::dense(), SimOptions::event(4)] {
+        for opts in [SimOptions::event(1), SimOptions::event(4)] {
             let (r, stats) = coverage(
                 &c,
                 &faults,
@@ -795,7 +814,7 @@ mod tests {
                 WeightedPatterns::equiprobable(2, 7),
                 n,
                 threads,
-                SimOptions::event(16),
+                SimOptions::event(4),
             );
             assert_eq!(serial, sharded, "threads = {threads}");
         }
@@ -813,7 +832,7 @@ mod tests {
             true,
         );
         for threads in [1, 2, 4] {
-            for opts in [SimOptions::dense(), SimOptions::event(4)] {
+            for opts in [SimOptions::event(1), SimOptions::event(4)] {
                 let (robust, _) = coverage(
                     &c,
                     &faults,
@@ -844,7 +863,7 @@ mod tests {
         );
         let mut partials = Vec::new();
         for threads in [1, 2, 3, 8] {
-            for opts in [SimOptions::dense(), SimOptions::event(2)] {
+            for opts in [SimOptions::event(1), SimOptions::event(4)] {
                 let outcome = fault_coverage_robust(
                     &c,
                     &faults,
@@ -858,7 +877,7 @@ mod tests {
                 assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
                 let rc = outcome.into_value();
                 // Identical partial result across thread counts and
-                // engines: exactly the first 100 patterns.
+                // widths: exactly the first 100 patterns.
                 assert_eq!(rc.result.detected_at(), clipped.detected_at());
                 partials.push(rc.result.detected_at().to_vec());
             }
@@ -878,7 +897,7 @@ mod tests {
             WeightedPatterns::equiprobable(3, 5),
             1000,
             2,
-            SimOptions::dense(),
+            SimOptions::default(),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
@@ -892,7 +911,7 @@ mod tests {
         let c = adder();
         let faults = FaultList::full(&c);
         let budget = Budget::unlimited().with_time_limit(Duration::ZERO);
-        for opts in [SimOptions::dense(), SimOptions::event(1)] {
+        for opts in [SimOptions::event(1), SimOptions::event(4)] {
             let outcome = fault_coverage_robust(
                 &c,
                 &faults,
@@ -963,7 +982,7 @@ mod tests {
             1000,
             true,
             2,
-            SimOptions::dense(),
+            SimOptions::default(),
             &budget,
         );
         assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Cancelled));
@@ -980,13 +999,94 @@ mod tests {
             64,
             true,
             4,
-            SimOptions::dense(),
+            SimOptions::default(),
             &Budget::unlimited(),
         );
         assert!(outcome.is_complete());
         let rc = outcome.into_value();
         assert_eq!(rc.result.num_faults(), 0);
         assert!(rc.recovery.is_clean());
+    }
+
+    #[test]
+    fn a_sole_dead_shard_is_replayed_over_the_whole_stream() {
+        // Several chunks, one shard: the dead primary hangs up at once, so
+        // the stream stops early — the replays must still cover all of it.
+        let c = parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n").unwrap();
+        let faults = FaultList::full(&c);
+        let n = (CHUNK_BLOCKS as u64) * 64 * 3 + 5;
+        let source = || WeightedPatterns::equiprobable(2, 7);
+        let reference = detection_counts(&c, &faults, source(), n);
+        POISONED_EVENT_CIRCUITS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(c.uid());
+        let outcome = detection_counts_robust(
+            &c,
+            &faults,
+            source(),
+            n,
+            1,
+            SimOptions::default(),
+            &Budget::unlimited(),
+        );
+        assert!(outcome.is_complete());
+        let rc = outcome.into_value();
+        assert_eq!(rc.num_patterns, n);
+        assert_eq!(rc.counts, reference);
+        assert_eq!(rc.recovery.replays, 2);
+        assert!(rc.recovery.unresolved.is_empty());
+    }
+
+    #[test]
+    fn dense_replay_recovers_a_shard_whose_event_runs_panic() {
+        // A circuit built for this test alone: its uid keys the injection,
+        // so workers of tests running in parallel never trip it.
+        let c = adder();
+        let faults = FaultList::full(&c);
+        let source = || WeightedPatterns::equiprobable(3, 17);
+        let reference = fault_coverage(&c, &faults, source(), 500, true);
+        let reference_counts = detection_counts(&c, &faults, source(), 500);
+        let poisoned = || {
+            POISONED_EVENT_CIRCUITS
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        poisoned().push(c.uid());
+        let coverage_run = fault_coverage_robust(
+            &c,
+            &faults,
+            source(),
+            500,
+            true,
+            1,
+            SimOptions::default(),
+            &Budget::unlimited(),
+        );
+        let counts_run = detection_counts_robust(
+            &c,
+            &faults,
+            source(),
+            500,
+            1,
+            SimOptions::default(),
+            &Budget::unlimited(),
+        );
+        poisoned().retain(|&uid| uid != c.uid());
+        assert!(coverage_run.is_complete() && counts_run.is_complete());
+        let coverage_run = coverage_run.into_value();
+        let counts_run = counts_run.into_value();
+        assert_eq!(coverage_run.result.detected_at(), reference.detected_at());
+        assert_eq!(counts_run.counts, reference_counts);
+        for recovery in [&coverage_run.recovery, &counts_run.recovery] {
+            // The primary event worker and its event replay both died;
+            // the dense replay recovered the shard.
+            assert_eq!(recovery.worker_panics, 2);
+            assert_eq!(recovery.replays, 2);
+            let steps: Vec<DegradeStep> = recovery.ladder.steps().iter().map(|(s, _)| *s).collect();
+            assert_eq!(steps, [DegradeStep::ShardRequeue, DegradeStep::EventToDense]);
+            assert!(recovery.unresolved.is_empty());
+        }
     }
 }
 
@@ -999,14 +1099,9 @@ mod proptests {
     use crate::test_support::{arb_circuit, counts, coverage};
     use proptest::prelude::*;
 
-    /// Engine index 0 is the dense inner loop; 1..=5 the event inner loop
-    /// at each supported superblock width.
-    fn engine(idx: usize) -> SimOptions {
-        if idx == 0 {
-            SimOptions::dense()
-        } else {
-            SimOptions::event(SUPPORTED_BLOCK_WORDS[idx - 1])
-        }
+    /// The inner loop at the `idx`-th supported superblock width.
+    fn width(idx: usize) -> SimOptions {
+        SimOptions::event(SUPPORTED_BLOCK_WORDS[idx])
     }
 
     proptest! {
@@ -1014,9 +1109,8 @@ mod proptests {
 
         /// The driver is bit-identical to the dense reference —
         /// `detected_at` and `counts` — across random circuits, weights,
-        /// pattern counts and drop modes, for both inner loops at every
-        /// superblock width and at 1, 2 and more threads (shards > faults
-        /// included).
+        /// pattern counts and drop modes, at every superblock width and at
+        /// 1, 2 and more threads (shards > faults included).
         #[test]
         fn sharded_is_bit_identical_to_serial(
             circuit in arb_circuit(),
@@ -1030,9 +1124,9 @@ mod proptests {
             let source = || WeightedPatterns::new(weights.clone(), seed);
             let serial = fault_coverage(&circuit, &faults, source(), patterns, drop);
             let serial_counts = detection_counts(&circuit, &faults, source(), patterns);
-            for engine_idx in 0..6 {
+            for width_idx in 0..SUPPORTED_BLOCK_WORDS.len() {
                 for threads in [1, 2, many_threads] {
-                    let opts = engine(engine_idx);
+                    let opts = width(width_idx);
                     let (sharded, _) =
                         coverage(&circuit, &faults, source(), patterns, drop, threads, opts);
                     prop_assert_eq!(serial.detected_at(), sharded.detected_at());
@@ -1044,18 +1138,18 @@ mod proptests {
         }
 
         /// Bit-identity to the dense reference at a randomly drawn
-        /// layout (inner loop, width, thread count, drop mode), with
+        /// layout (width, thread count, drop mode), with
         /// `SimStats` identical to the single-threaded run's.
         #[test]
         fn random_layouts_are_bit_identical_to_serial(
             circuit in arb_circuit(),
             weights in proptest::collection::vec(0.05f64..0.95, 4),
-            layout in (0usize..6, 1usize..6),
+            layout in (0usize..2, 1usize..6),
             run in (0u64..1_000, 1u64..700, any::<bool>()),
         ) {
-            let (engine_idx, threads) = layout;
+            let (width_idx, threads) = layout;
             let (seed, patterns, drop) = run;
-            let opts = engine(engine_idx);
+            let opts = width(width_idx);
             let faults = FaultList::full(&circuit);
             let source = || WeightedPatterns::new(weights.clone(), seed);
 
@@ -1074,13 +1168,13 @@ mod proptests {
         }
 
         /// The driver over an unlimited budget is complete, clean and
-        /// bit-identical to the dense reference, on each inner loop.
+        /// bit-identical to the dense reference, at each width.
         #[test]
         fn unlimited_budget_is_complete_clean_and_identical(
             circuit in arb_circuit(),
             seed in 0u64..200,
             threads in 1usize..5,
-            engine_idx in 0usize..6,
+            width_idx in 0usize..2,
         ) {
             let faults = FaultList::primary_inputs(&circuit);
             let serial = fault_coverage(
@@ -1091,7 +1185,7 @@ mod proptests {
             let outcome = fault_coverage_robust(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                300, true, threads, engine(engine_idx), &Budget::unlimited(),
+                300, true, threads, width(width_idx), &Budget::unlimited(),
             );
             prop_assert!(outcome.is_complete());
             let rc = outcome.into_value();
@@ -1105,7 +1199,7 @@ mod proptests {
         fn oversharding_is_identical(
             circuit in arb_circuit(),
             seed in 0u64..100,
-            engine_idx in 0usize..6,
+            width_idx in 0usize..2,
         ) {
             let faults = FaultList::primary_inputs(&circuit);
             let serial = fault_coverage(
@@ -1116,20 +1210,20 @@ mod proptests {
             let (sharded, _) = coverage(
                 &circuit, &faults,
                 WeightedPatterns::equiprobable(4, seed),
-                200, true, faults.len() * 3 + 7, engine(engine_idx),
+                200, true, faults.len() * 3 + 7, width(width_idx),
             );
             prop_assert_eq!(serial.detected_at(), sharded.detected_at());
         }
 
         /// An eval-budget interruption yields the bit-identical partial
-        /// at 1, 2 and 5 threads and on both inner loops: exactly the
+        /// at 1, 2 and 5 threads and at both widths: exactly the
         /// dense reference over the clipped pattern prefix.
         #[test]
         fn eval_budget_partials_are_identical_across_thread_counts(
             circuit in arb_circuit(),
             seed in 0u64..1_000,
             clip in 0u64..600,
-            engine_idx in 0usize..6,
+            width_idx in 0usize..2,
             drop in any::<bool>(),
         ) {
             let faults = FaultList::full(&circuit);
@@ -1149,7 +1243,7 @@ mod proptests {
                 let outcome = fault_coverage_robust(
                     &circuit, &faults,
                     WeightedPatterns::equiprobable(4, seed),
-                    600, drop, threads, engine(engine_idx), &budget,
+                    600, drop, threads, width(width_idx), &budget,
                 );
                 prop_assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
                 let rc = outcome.into_value();
@@ -1159,7 +1253,7 @@ mod proptests {
                 let outcome = detection_counts_robust(
                     &circuit, &faults,
                     WeightedPatterns::equiprobable(4, seed),
-                    600, threads, engine(engine_idx), &budget,
+                    600, threads, width(width_idx), &budget,
                 );
                 prop_assert_eq!(outcome.interrupt_reason(), Some(BudgetExceeded::Evals));
                 let rc = outcome.into_value();

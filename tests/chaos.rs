@@ -153,7 +153,7 @@ fn budget_injection_drill(skip: u64) -> (Vec<Option<u64>>, u64) {
             PATTERNS,
             true,
             THREADS,
-            SimOptions::dense(),
+            SimOptions::default(),
             &Budget::unlimited(),
         );
         (outcome, circuit, faults)
@@ -295,7 +295,7 @@ fn drill_workloads_exercise_every_planted_site() {
             128,
             true,
             2,
-            SimOptions::dense(),
+            SimOptions::default(),
             &Budget::unlimited(),
         );
         assert!(outcome.is_complete());

@@ -2,6 +2,7 @@
 //! agree with each other (and with ground truth) within their advertised
 //! error regimes.
 
+use proptest::prelude::*;
 use wrt::prelude::*;
 use wrt_estimate::signal_probability_bounds;
 
@@ -104,5 +105,179 @@ fn engines_rank_hard_faults_consistently() {
             cop[k],
             stafan[k]
         );
+    }
+}
+
+// ---- COP against the exact-enumeration oracle -------------------------
+//
+// `StructureCensus::cop_exact` (no reconvergent stems) claims exact COP
+// *signal probabilities* only.  Detection probabilities are exact only
+// without any fanout stem: a stem fault's effect reaches several outputs,
+// and COP's stem rule `1 − Π(1 − obs)` treats those paths as independent.
+
+const ORACLE_TOLERANCE: f64 = 1e-9;
+
+/// A random circuit without reconvergent fanout, built from a recipe:
+/// every op makes one gate over operands whose primary-input supports are
+/// disjoint, each operand an unconsumed gate or a primary input, and every
+/// gate left unconsumed becomes an output.  With `share_inputs` a primary
+/// input may feed several trees (fanout stems that never reconverge);
+/// without it every node fans out at most once.
+fn non_reconvergent_circuit(
+    num_inputs: usize,
+    share_inputs: bool,
+    ops: &[(usize, usize, Vec<usize>)],
+) -> Circuit {
+    const KINDS: [GateKind; 7] = [
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+    ];
+    let mut b = CircuitBuilder::named("non_reconvergent");
+    let inputs: Vec<NodeId> = (0..num_inputs).map(|i| b.input(format!("i{i}"))).collect();
+    // Unconsumed gates with the primary-input support of their tree.
+    let mut roots: Vec<(NodeId, u32)> = Vec::new();
+    let mut used_inputs = 0u32;
+    for (kind_idx, arity, picks) in ops {
+        let kind = KINDS[kind_idx % KINDS.len()];
+        let want = if kind == GateKind::Not { 1 } else { 2 + arity % 2 };
+        let mut fanin = Vec::new();
+        let mut support = 0u32;
+        let mut taken_roots = Vec::new();
+        for &p in picks.iter().take(want) {
+            let root = (p % 2 == 0 && !roots.is_empty()).then(|| (p / 2) % roots.len());
+            match root {
+                Some(r) if roots[r].1 & support == 0 => {
+                    let (node, mask) = roots.swap_remove(r);
+                    support |= mask;
+                    fanin.push(node);
+                    taken_roots.push((node, mask));
+                }
+                _ => {
+                    let i = p % num_inputs;
+                    let bit = 1u32 << i;
+                    if support & bit == 0 && (share_inputs || used_inputs & bit == 0) {
+                        support |= bit;
+                        fanin.push(inputs[i]);
+                    }
+                }
+            }
+        }
+        if fanin.len() < want.min(2) {
+            roots.extend(taken_roots);
+            continue;
+        }
+        used_inputs |= support;
+        let gate = b.gate_auto(kind, &fanin).expect("valid gate");
+        roots.push((gate, support));
+    }
+    if roots.is_empty() {
+        roots.push((b.gate_auto(GateKind::Not, &[inputs[0]]).expect("valid"), 1));
+    }
+    for (node, _) in roots {
+        b.mark_output(node);
+    }
+    b.build().expect("valid circuit")
+}
+
+fn assert_close(what: &str, cop: f64, exact: f64) {
+    assert!(
+        (cop - exact).abs() <= ORACLE_TOLERANCE,
+        "{what}: cop {cop} vs exact {exact}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// On circuits the census calls `cop_exact`, COP signal probabilities
+    /// equal exact enumeration; without fanout stems, so do COP detection
+    /// probabilities.
+    #[test]
+    fn cop_matches_the_exact_oracle_without_reconvergence(
+        num_inputs in 2usize..11,
+        share_inputs in any::<bool>(),
+        ops in proptest::collection::vec(
+            (0usize..7, 0usize..2, proptest::collection::vec(0usize..1000, 3)),
+            1..14,
+        ),
+        weights in proptest::collection::vec(0.05f64..0.95, 10),
+    ) {
+        let circuit = non_reconvergent_circuit(num_inputs, share_inputs, &ops);
+        let probs = &weights[..num_inputs];
+        let census = wrt::analyze::census(&circuit);
+        prop_assert_eq!(census.reconvergent_stems, 0);
+        prop_assert!(census.cop_exact);
+        if !share_inputs {
+            prop_assert_eq!(census.fanout_stems, 0);
+        }
+
+        let p = wrt::estimate::signal_probabilities_cop(&circuit, probs);
+        for id in circuit.ids() {
+            let exact = wrt::estimate::exact_signal_probability(&circuit, id, probs, 12)
+                .expect("support within bound");
+            assert_close(&format!("signal probability of {id}"), p[id.index()], exact);
+        }
+
+        if census.fanout_stems == 0 {
+            let faults = FaultList::full(&circuit);
+            let cop = CopEngine::new().estimate(&circuit, &faults, probs);
+            for ((_, fault), &c) in faults.iter().zip(&cop) {
+                let exact = wrt::estimate::exact_detection_probability(&circuit, fault, probs, 12)
+                    .expect("inputs within bound");
+                assert_close(&format!("detection probability of {fault:?}"), c, exact);
+            }
+        }
+    }
+}
+
+#[test]
+fn reconvergent_diamond_breaks_cop_signal_probabilities() {
+    // Negative control: y = XOR(AND(a, b), OR(a, b)) = XOR(a, b).
+    let circuit = wrt::circuit::parse_bench(
+        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\np = AND(a, b)\nq = OR(a, b)\ny = XOR(p, q)\n",
+    )
+    .expect("valid netlist");
+    assert!(!wrt::analyze::census(&circuit).cop_exact);
+    let probs = [0.5, 0.5];
+    let y = circuit.node_id("y").expect("y");
+    let cop = wrt::estimate::signal_probabilities_cop(&circuit, &probs)[y.index()];
+    let exact = wrt::estimate::exact_signal_probability(&circuit, y, &probs, 12).expect("small");
+    assert_close("XOR(a, b)", exact, 0.5);
+    assert!((cop - exact).abs() > 0.1, "cop {cop} vs exact {exact}");
+}
+
+#[test]
+fn cop_exact_does_not_cover_detection_probabilities_at_stems() {
+    // Regression: `s` and `x` fan out without reconverging, so the census
+    // reports `cop_exact` — yet a stem fault on `s` is detected at either
+    // output, and COP's stem rule counts the shared side input `x` twice.
+    let circuit = wrt::circuit::parse_bench(
+        "INPUT(s)\nINPUT(x)\nOUTPUT(g1)\nOUTPUT(g2)\ng1 = AND(s, x)\ng2 = AND(s, x)\n",
+    )
+    .expect("valid netlist");
+    let census = wrt::analyze::census(&circuit);
+    assert!(census.cop_exact);
+    assert_eq!(census.fanout_stems, 2);
+    let probs = [0.5, 0.5];
+    let s = circuit.node_id("s").expect("s");
+    let faults = FaultList::from_faults(vec![Fault::output(s, false), Fault::output(s, true)]);
+    let cop = CopEngine::new().estimate(&circuit, &faults, &probs);
+    for ((_, fault), &c) in faults.iter().zip(&cop) {
+        let exact = wrt::estimate::exact_detection_probability(&circuit, fault, &probs, 12)
+            .expect("small");
+        assert_close(&format!("exact {fault:?}"), exact, 0.25);
+        assert_close(&format!("cop {fault:?}"), c, 0.375);
+    }
+    // Signal probabilities, the part `cop_exact` does claim, still agree.
+    let p = wrt::estimate::signal_probabilities_cop(&circuit, &probs);
+    for id in circuit.ids() {
+        let exact =
+            wrt::estimate::exact_signal_probability(&circuit, id, &probs, 12).expect("small");
+        assert_close("signal probability", p[id.index()], exact);
     }
 }
