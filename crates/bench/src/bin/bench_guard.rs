@@ -38,8 +38,12 @@
 //!   fields — only `bench_serve` emits them), every `"warm_over_cold"`
 //!   ratio must be at least `1.0` — a resident server answering primed
 //!   queries *slower* than cold ones means the shared engine cache is
-//!   broken — and a non-smoke artifact must have at least two rows at
-//!   `3.0` or better, the paper-style amortization headline; the
+//!   broken — and a non-smoke artifact must have a row for each of
+//!   [`COLD_TRACKED`] with `"cold_qps"` at or above [`COLD_QPS_FLOOR`],
+//!   an absolute bound on cold-query latency (the redundancy proof's
+//!   screen made the cold path fast enough that a warm/cold ratio no
+//!   longer measures amortization; the bound fails every pre-screen
+//!   artifact, which recorded 32–68 cold queries/s); the
 //!   `"eco_eval_reduction"` field (overlay evals vs cold recompute, a
 //!   machine-independent counter) must be at least `2.0` non-smoke and
 //!   `1.0` in the smoke configuration;
@@ -56,7 +60,11 @@
 //!   `BENCH_scale.json`, rows ordered by increasing circuit size) must
 //!   stay flat or decrease — each row may exceed its predecessor by at
 //!   most 5% (name strings grow a digit at larger sizes); a rising curve
-//!   means a superlinear term crept into the flat circuit core.
+//!   means a superlinear term crept into the flat circuit core;
+//! * in the scale artifact (recognized by its `target_gates` fields —
+//!   only `bench_scale` emits them), every non-smoke row must record the
+//!   redundancy proof ([`SCALE_REDUNDANCY_FIELDS`]), so the proof's cost
+//!   at 10^4 to 10^6 gates cannot drop out of the sweep unnoticed.
 //!
 //! Run with `cargo run --release -p wrt-bench --bin bench_guard --
 //! [FILE ...]`; with no arguments it checks the two default artifacts in
@@ -81,6 +89,20 @@ const IMPROVEMENT_FLOORS: [(&str, f64); 4] = [
     ("c6288ish", 16.0),
     ("c7552ish", 4.0e6),
 ];
+
+/// Fields every non-smoke `BENCH_scale.json` row must carry.
+const SCALE_REDUNDANCY_FIELDS: [&str; 3] = [
+    "redundancy_seconds",
+    "redundancy_enumerated_lines",
+    "redundant",
+];
+
+/// The serving artifact's tracked circuits and their cold-query floor:
+/// at least 250 cold `estimate` queries per second, i.e. at most 4 ms
+/// for a flushed registry to rebuild the circuit, its proven fault list
+/// and the COP baseline and answer over a socket.
+const COLD_TRACKED: [&str; 3] = ["c880ish", "c2670ish", "c5315ish"];
+const COLD_QPS_FLOOR: f64 = 250.0;
 
 /// One `"key": <bare value>` occurrence found in the artifact.
 struct BareValue {
@@ -193,8 +215,15 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
         .any(|v| v.key == "smoke" && v.value == "true");
     let mut saw_c6288_row = false;
     let mut floored_rows: Vec<&str> = Vec::new();
-    let mut warm_headline_rows = 0usize;
+    let mut cold_rows: Vec<&str> = Vec::new();
+    // Scale rows lead with `target_gates`: the keys seen in each row.
+    let mut scale_rows: Vec<(usize, Vec<&str>)> = Vec::new();
     for v in &values {
+        if v.key == "target_gates" {
+            scale_rows.push((v.line, Vec::new()));
+        } else if let Some((_, keys)) = scale_rows.last_mut() {
+            keys.push(v.key.as_str());
+        }
         // Simulation eval-reduction floor: the event headline must beat
         // the dense baseline on every circuit, and clear 1.3x on the
         // c6288ish multiplier.
@@ -239,8 +268,9 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                 }
             }
         }
-        // Serving floors: warm must never lose to cold, and the ECO
-        // overlay must beat the cold recompute it replaces.
+        // Serving floors: warm must never lose to cold, a cold query
+        // must stay under its latency bound, and the ECO overlay must
+        // beat the cold recompute it replaces.
         if v.key == "warm_over_cold" {
             if let Ok(x) = v.value.parse::<f64>() {
                 if x < 1.0 {
@@ -248,8 +278,19 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
                         "{path}:{}: \"warm_over_cold\" is {x} on {} — warm served queries slower than cold",
                         v.line, v.circuit
                     ));
-                } else if x >= 3.0 {
-                    warm_headline_rows += 1;
+                }
+            }
+        }
+        if is_serve_artifact && !is_smoke && v.key == "cold_qps" {
+            if let Some(name) = COLD_TRACKED.iter().find(|&&name| name == v.circuit) {
+                cold_rows.push(name);
+            }
+            if let Ok(x) = v.value.parse::<f64>() {
+                if x < COLD_QPS_FLOOR {
+                    violations.push(format!(
+                        "{path}:{}: \"cold_qps\" is {x} on {} — below the {COLD_QPS_FLOOR} cold-query floor",
+                        v.line, v.circuit
+                    ));
                 }
             }
         }
@@ -306,10 +347,25 @@ fn check_artifact(path: &str, text: &str) -> Vec<String> {
             },
         }
     }
-    if is_serve_artifact && !is_smoke && warm_headline_rows < 2 {
-        violations.push(format!(
-            "{path}: only {warm_headline_rows} circuit(s) reach warm_over_cold >= 3 — the amortization headline needs two"
-        ));
+    if is_serve_artifact && !is_smoke {
+        for name in COLD_TRACKED {
+            if !cold_rows.contains(&name) {
+                violations.push(format!(
+                    "{path}: serving artifact has no {name} row — cold-query floor dodged"
+                ));
+            }
+        }
+    }
+    if !is_smoke {
+        for (line, keys) in &scale_rows {
+            for field in SCALE_REDUNDANCY_FIELDS {
+                if !keys.contains(&field) {
+                    violations.push(format!(
+                        "{path}:{line}: scale row has no \"{field}\" — redundancy proof dropped from the sweep"
+                    ));
+                }
+            }
+        }
     }
     if is_sim_artifact && !is_smoke && !saw_c6288_row {
         violations.push(format!(
@@ -565,44 +621,98 @@ mod tests {
     }
 
     #[test]
+    fn scale_rows_must_record_the_redundancy_proof() {
+        let row = |extra: &str| {
+            format!("{{ \"target_gates\": 10000, \"bytes_per_gate\": 54.0, {extra}\"bit_identical\": true }}")
+        };
+        let full = row("\"redundancy_seconds\": 0.01, \"redundancy_enumerated_lines\": 10, \"redundant\": 0, ");
+        let ok = format!("{{ \"smoke\": false, \"results\": [ {full}, {full} ] }}");
+        assert!(check_artifact("x.json", &ok).is_empty());
+        // One row without the proof fields fails, once per field.
+        let bare = row("");
+        let missing = format!("{{ \"smoke\": false, \"results\": [ {full}, {bare} ] }}");
+        let v = check_artifact("x.json", &missing);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|m| m.contains("redundancy proof dropped")));
+        // Smoke sweeps are exempt from row presence.
+        let smoke = format!("{{ \"smoke\": true, \"results\": [ {bare} ] }}");
+        assert!(check_artifact("x.json", &smoke).is_empty());
+    }
+
+    /// A serving artifact with one `(circuit, warm_over_cold, cold_qps)`
+    /// row each, plus an ECO section.
+    fn serve_artifact(smoke: bool, rows: &[(&str, f64, f64)], eco_reduction: f64) -> String {
+        let rows: Vec<String> = rows
+            .iter()
+            .map(|(name, ratio, cold)| {
+                format!("{{ \"circuit\": \"{name}\", \"cold_qps\": {cold}, \"warm_over_cold\": {ratio}, \"bit_identical\": true }}")
+            })
+            .collect();
+        format!(
+            "{{ \"smoke\": {smoke}, \"results\": [ {} ], \"eco\": {{ \"circuit\": \"c5315ish\", \"eco_eval_reduction\": {eco_reduction}, \"bit_identical\": true }} }}",
+            rows.join(", ")
+        )
+    }
+
+    #[test]
     fn warm_over_cold_floors_are_enforced() {
-        // A full-run serving artifact needs two headline rows at 3x and
-        // no row below 1x.
-        let ok = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"c880ish\", \"warm_over_cold\": 9.0, \"bit_identical\": true }, { \"circuit\": \"c2670ish\", \"warm_over_cold\": 3.5, \"bit_identical\": true }, { \"circuit\": \"c5315ish\", \"warm_over_cold\": 1.4, \"bit_identical\": true } ] }";
-        assert!(check_artifact("x.json", ok).is_empty());
-        let slow = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"c880ish\", \"warm_over_cold\": 0.8, \"bit_identical\": true }, { \"circuit\": \"c2670ish\", \"warm_over_cold\": 3.5, \"bit_identical\": true }, { \"circuit\": \"c5315ish\", \"warm_over_cold\": 4.0, \"bit_identical\": true } ] }";
-        let v = check_artifact("x.json", slow);
+        // A full-run serving artifact needs every tracked circuit at or
+        // above the cold-query floor and no row below 1x warm/cold.
+        let ok = serve_artifact(
+            false,
+            &[("c880ish", 2.4, 1100.0), ("c2670ish", 1.8, 900.0), ("c5315ish", 1.4, 480.0)],
+            3.0,
+        );
+        assert!(check_artifact("x.json", &ok).is_empty());
+        let slow = serve_artifact(
+            false,
+            &[("c880ish", 0.8, 1100.0), ("c2670ish", 3.5, 900.0), ("c5315ish", 4.0, 480.0)],
+            3.0,
+        );
+        let v = check_artifact("x.json", &slow);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("slower than cold"));
         assert!(v[0].contains("c880ish"));
-        let thin = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"c880ish\", \"warm_over_cold\": 9.0, \"bit_identical\": true }, { \"circuit\": \"c2670ish\", \"warm_over_cold\": 1.5, \"bit_identical\": true } ] }";
-        let v = check_artifact("x.json", thin);
+        // The committed pre-screen cold rates (32–68 q/s) fail the bound
+        // however large their warm/cold ratio.
+        let old = serve_artifact(
+            false,
+            &[("c880ish", 170.9, 38.5), ("c2670ish", 31.4, 68.3), ("c5315ish", 55.0, 32.7)],
+            3.0,
+        );
+        let v = check_artifact("x.json", &old);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|m| m.contains("cold-query floor")));
+        // Deleting a tracked row cannot dodge the floor.
+        let thin = serve_artifact(false, &[("c880ish", 2.4, 1100.0), ("c2670ish", 1.8, 900.0)], 3.0);
+        let v = check_artifact("x.json", &thin);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("amortization headline"));
+        assert!(v[0].contains("no c5315ish row"));
     }
 
     #[test]
     fn smoke_serve_artifacts_skip_the_headline_but_keep_the_floor() {
-        // The CI smoke run uses tiny circuits: the 3x headline is
-        // waived, warm >= cold is not.
-        let ok = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"s1\", \"warm_over_cold\": 1.2, \"bit_identical\": true } ] }";
-        assert!(check_artifact("x.json", ok).is_empty());
-        let bad = "{ \"smoke\": true, \"results\": [ { \"circuit\": \"s1\", \"warm_over_cold\": 0.9, \"bit_identical\": true } ] }";
-        let v = check_artifact("x.json", bad);
+        // The CI smoke run uses other circuits and fewer reps: the cold
+        // bound and row presence are waived, warm >= cold is not.
+        let ok = serve_artifact(true, &[("s1", 1.2, 40.0)], 3.0);
+        assert!(check_artifact("x.json", &ok).is_empty());
+        let bad = serve_artifact(true, &[("s1", 0.9, 40.0)], 3.0);
+        let v = check_artifact("x.json", &bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("slower than cold"));
     }
 
     #[test]
     fn eco_eval_reduction_floor_scales_with_smoke() {
-        let full = "{ \"smoke\": false, \"results\": [ { \"circuit\": \"a\", \"warm_over_cold\": 4.0, \"bit_identical\": true }, { \"circuit\": \"b\", \"warm_over_cold\": 4.0, \"bit_identical\": true } ], \"eco\": { \"circuit\": \"b\", \"eco_eval_reduction\": 1.5, \"bit_identical\": true } }";
-        let v = check_artifact("x.json", full);
+        let rows = [("c880ish", 2.4, 1100.0), ("c2670ish", 1.8, 900.0), ("c5315ish", 1.4, 480.0)];
+        let full = serve_artifact(false, &rows, 1.5);
+        let v = check_artifact("x.json", &full);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("overlay floor"));
         // The same 1.5 passes in the smoke configuration (floor 1.0).
-        let smoke = full.replace("\"smoke\": false", "\"smoke\": true");
+        let smoke = serve_artifact(true, &rows, 1.5);
         assert!(check_artifact("x.json", &smoke).is_empty());
-        let negative = smoke.replace("1.5", "0.5");
+        let negative = serve_artifact(true, &rows, 0.5);
         let v = check_artifact("x.json", &negative);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("overlay floor"));

@@ -9,14 +9,19 @@
 //!   registry (shared `Arc`'d circuit, fault list, COP baseline) vs a
 //!   fully cold one (registry flushed before every query, so each pays
 //!   netlist construction, fault-list derivation, and the two COP
-//!   passes).  Warm must never be slower; in the full configuration at
-//!   least two circuits must clear 3x.
+//!   passes).  Warm must never be slower, and in the full configuration
+//!   every circuit must answer at least 250 cold queries per second (a
+//!   cold query under 4 ms).
 //! * **eco_eval_reduction** — node evaluations a what-if ECO overlay
 //!   spends vs the cold recompute it replaces (a machine-independent
 //!   counter, not wall clock).
 //! * **bit_identical** — every served payload equals direct in-process
 //!   execution over the same registry, and the overlay's detection
 //!   probabilities equal a cold COP run of the really-mutated circuit.
+//!
+//! Each row also breaks the cold path into its phases, timed in process
+//! over a fresh registry: circuit load (workload generation or `.bench`
+//! parse), fault collapsing, the redundancy proof, and the COP baseline.
 //!
 //! Run with `cargo run --release -p wrt-bench --bin bench_serve`.
 //!
@@ -28,18 +33,63 @@
 //! `BENCH_serve.json` in the current directory.  `--smoke` runs a
 //! scaled-down version for CI.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wrt_circuit::{Circuit, CircuitBuilder, GateKind, NodeId};
-use wrt_estimate::{CopEngine, DetectionProbabilityEngine, EcoMutation, SessionCop};
+use wrt_estimate::{
+    constant_line_faults, CopEngine, DetectionProbabilityEngine, EcoMutation, SessionCop,
+    REDUNDANCY_SUPPORT_LIMIT,
+};
+use wrt_fault::FaultList;
 use wrt_serve::{client, execute, ExecContext, Registry};
 
 struct Row {
     circuit: String,
     cold_qps: f64,
     warm_qps: f64,
+    phases: ColdPhases,
     identical: bool,
+}
+
+/// Mean milliseconds per cold query spent in each phase of building a
+/// circuit's shared state.
+struct ColdPhases {
+    load: f64,
+    collapse: f64,
+    redundancy: f64,
+    baseline: f64,
+}
+
+/// Times the cold path's phases in process, `reps` times over a fresh
+/// registry each: the same calls a flushed server makes before the verb.
+fn cold_phases(name: &str, reps: u32) -> ColdPhases {
+    let mut spent = [Duration::ZERO; 4];
+    for _ in 0..reps {
+        let registry = Registry::new();
+        let t = Instant::now();
+        let entry = registry.resolve(name).expect("workload resolves");
+        spent[0] += t.elapsed();
+        let circuit = entry.circuit();
+        let t = Instant::now();
+        let collapsed = FaultList::checkpoints(circuit).collapse_equivalent(circuit);
+        spent[1] += t.elapsed();
+        let t = Instant::now();
+        black_box(constant_line_faults(circuit, &collapsed, REDUNDANCY_SUPPORT_LIMIT));
+        spent[2] += t.elapsed();
+        let weights = vec![0.5; circuit.num_inputs()];
+        let t = Instant::now();
+        black_box(registry.baseline(&entry, &weights));
+        spent[3] += t.elapsed();
+    }
+    let ms = |d: Duration| d.as_secs_f64() * 1e3 / f64::from(reps);
+    ColdPhases {
+        load: ms(spent[0]),
+        collapse: ms(spent[1]),
+        redundancy: ms(spent[2]),
+        baseline: ms(spent[3]),
+    }
 }
 
 impl Row {
@@ -50,11 +100,16 @@ impl Row {
     fn to_json(&self) -> String {
         format!(
             "    {{ \"circuit\": \"{}\", \"cold_qps\": {:.3}, \"warm_qps\": {:.3}, \
-             \"warm_over_cold\": {:.3}, \"bit_identical\": {} }}",
+             \"warm_over_cold\": {:.3}, \"cold_load_ms\": {:.4}, \"cold_collapse_ms\": {:.4}, \
+             \"cold_redundancy_ms\": {:.4}, \"cold_baseline_ms\": {:.4}, \"bit_identical\": {} }}",
             self.circuit,
             self.cold_qps,
             self.warm_qps,
             self.warm_over_cold(),
+            self.phases.load,
+            self.phases.collapse,
+            self.phases.redundancy,
+            self.phases.baseline,
             self.identical
         )
     }
@@ -181,6 +236,7 @@ fn main() {
             circuit: (*name).to_string(),
             cold_qps,
             warm_qps,
+            phases: cold_phases(name, reps),
             identical,
         };
         println!(
@@ -191,6 +247,14 @@ fn main() {
             row.warm_over_cold(),
             row.identical
         );
+        println!(
+            "  {:<10} cold phases: load {:.3} ms  collapse {:.3} ms  redundancy {:.3} ms  baseline {:.3} ms",
+            "",
+            row.phases.load,
+            row.phases.collapse,
+            row.phases.redundancy,
+            row.phases.baseline
+        );
         assert!(row.identical, "{name}: served payload diverged from direct execution");
         assert!(
             row.warm_over_cold() >= 1.0,
@@ -200,11 +264,14 @@ fn main() {
         rows.push(row);
     }
     if !smoke {
-        let cleared = rows.iter().filter(|r| r.warm_over_cold() >= 3.0).count();
-        assert!(
-            cleared >= 2,
-            "only {cleared} circuit(s) clear the 3x warm floor"
-        );
+        for row in &rows {
+            assert!(
+                row.cold_qps >= 250.0,
+                "{}: {:.1} cold queries/s, below the 250 q/s floor",
+                row.circuit,
+                row.cold_qps
+            );
+        }
     }
 
     // ECO what-if on the largest circuit: the overlay must answer with
@@ -252,7 +319,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"serve_warm_cache\",\n  \"note\": \"cold_qps times one estimate query per registry flush (each query rebuilds the circuit, its collapsed redundancy-filtered fault list, and the COP baseline from nothing); warm_qps times the same query against the primed shared caches. Both run over real sockets against a resident server, so warm_over_cold is the testability-as-a-service claim: session-independent derived state amortizes across queries. Wall-clock and host-dependent; bench_guard enforces warm_over_cold >= 1 everywhere and >= 3 on two circuits in the full set. The eco section counts node evaluations (machine-independent): a what-if ECO answers from a pending-overlay cone walk instead of a cold recompute, bit-identical to really mutating the circuit and rerunning COP. bit_identical compares every served payload against direct in-process execution over the same registry.\",\n  \"smoke\": {smoke},\n  \"reps\": {reps},\n  \"results\": [\n{}\n  ],\n  \"eco\": {{\n    \"circuit\": \"{eco_name}\",\n    \"mutated_gates\": {},\n    \"cone_nodes\": {},\n    \"overlay_evals\": {},\n    \"cold_evals\": {},\n    \"eco_eval_reduction\": {:.3},\n    \"bit_identical\": {eco_identical}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"serve_warm_cache\",\n  \"note\": \"cold_qps times one estimate query per registry flush (each query rebuilds the circuit, its collapsed redundancy-filtered fault list, and the COP baseline from nothing); warm_qps times the same query against the primed shared caches. Both run over real sockets against a resident server, so warm_over_cold is the testability-as-a-service claim: session-independent derived state amortizes across queries. The cold_*_ms fields break the cold path into its phases (mean ms per query, timed in process over a fresh registry): circuit load (workload generation or .bench parse), checkpoint collapsing, the redundancy proof (one good-machine superblock screen, then cone-local enumeration of the lines that never toggled), and the COP baseline. Wall-clock and host-dependent; bench_guard enforces warm_over_cold >= 1 everywhere and, in the full set, cold_qps >= 250 (a cold query under 4 ms) on every tracked circuit. The eco section counts node evaluations (machine-independent): a what-if ECO answers from a pending-overlay cone walk instead of a cold recompute, bit-identical to really mutating the circuit and rerunning COP. bit_identical compares every served payload against direct in-process execution over the same registry.\",\n  \"smoke\": {smoke},\n  \"reps\": {reps},\n  \"results\": [\n{}\n  ],\n  \"eco\": {{\n    \"circuit\": \"{eco_name}\",\n    \"mutated_gates\": {},\n    \"cone_nodes\": {},\n    \"overlay_evals\": {},\n    \"cold_evals\": {},\n    \"eco_eval_reduction\": {:.3},\n    \"bit_identical\": {eco_identical}\n  }}\n}}\n",
         body.join(",\n"),
         mutations.len(),
         stats.cone_nodes,

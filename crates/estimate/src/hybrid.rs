@@ -10,11 +10,12 @@
 //! COP.  The result strictly improves on plain COP wherever reconvergence
 //! is local — XOR/ECC structures especially — at bounded extra cost.
 
-use wrt_circuit::{input_support, transitive_fanin, Circuit, GateKind, NodeId};
+use wrt_circuit::{Circuit, GateKind, NodeId};
 use wrt_fault::{FaultList, FaultSite};
 
 use crate::cop::observabilities_cop;
 use crate::engine::DetectionProbabilityEngine;
+use crate::exact::exact_signal_probability;
 
 /// COP with exact small-support correction (a PREDICT-style estimator).
 #[derive(Debug, Clone)]
@@ -39,14 +40,8 @@ impl HybridEngine {
                 GateKind::Input => input_probs[circuit.input_position(id).expect("pi")],
                 GateKind::Const0 => 0.0,
                 GateKind::Const1 => 1.0,
-                kind => {
-                    let support = input_support(circuit, id);
-                    if support.len() <= self.support_limit {
-                        exact_cone_probability(circuit, id, &support, input_probs)
-                    } else {
-                        cop_step(kind, node.fanin(), &p)
-                    }
-                }
+                kind => exact_signal_probability(circuit, id, input_probs, self.support_limit)
+                    .unwrap_or_else(|| cop_step(kind, node.fanin(), &p)),
             };
         }
         p
@@ -78,44 +73,6 @@ fn cop_step(kind: GateKind, fanin: &[NodeId], p: &[f64]) -> f64 {
         GateKind::Buf => p[fanin[0].index()],
         GateKind::Input | GateKind::Const0 | GateKind::Const1 => unreachable!(),
     }
-}
-
-/// Exact weighted enumeration of one cone (support already known small).
-fn exact_cone_probability(
-    circuit: &Circuit,
-    node: NodeId,
-    support: &[NodeId],
-    input_probs: &[f64],
-) -> f64 {
-    let cone = transitive_fanin(circuit, &[node]);
-    let mut values = vec![false; circuit.num_nodes()];
-    let mut buf = Vec::new();
-    let mut total = 0.0f64;
-    for mask in 0..(1u64 << support.len()) {
-        let mut weight = 1.0f64;
-        for (k, &pi) in support.iter().enumerate() {
-            let bit = (mask >> k) & 1 == 1;
-            values[pi.index()] = bit;
-            let x = input_probs[circuit.input_position(pi).expect("pi")];
-            weight *= if bit { x } else { 1.0 - x };
-        }
-        if weight == 0.0 {
-            continue;
-        }
-        for &n in &cone {
-            let gate = circuit.node(n);
-            if gate.kind() == GateKind::Input {
-                continue;
-            }
-            buf.clear();
-            buf.extend(gate.fanin().iter().map(|f| values[f.index()]));
-            values[n.index()] = gate.kind().eval(&buf);
-        }
-        if values[node.index()] {
-            total += weight;
-        }
-    }
-    total
 }
 
 impl DetectionProbabilityEngine for HybridEngine {
@@ -156,7 +113,6 @@ impl DetectionProbabilityEngine for HybridEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_signal_probability;
     use crate::signal_probabilities_cop;
     use wrt_circuit::parse_bench;
 

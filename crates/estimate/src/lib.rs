@@ -31,7 +31,8 @@
 //!   via the cutting algorithm \[BDS84\].
 //!
 //! plus exact redundancy identification ([`constant_line_faults`]) in the
-//! spirit of PROTEST's "exact value 0 or 1 … is a proof of redundancy".
+//! spirit of PROTEST's "exact value 0 or 1 … is a proof of redundancy",
+//! and the experiment fault list built on it ([`experiment_faults`]).
 //!
 //! `CopEngine`, `IncrementalCop` and `CopBaseline` hold one COP solution
 //! type, and the two incremental clients share one stamped copy-on-write
@@ -81,6 +82,8 @@ pub use engine::{
 pub use exact::{exact_detection_probability, exact_signal_probability};
 pub use incremental::{IncrementalCop, IncrementalStats};
 pub use rank::spearman;
-pub use redundancy::constant_line_faults;
+pub use redundancy::{
+    constant_line_faults, constant_line_proof, experiment_faults, REDUNDANCY_SUPPORT_LIMIT,
+};
 pub use shared::{CopBaseline, EcoMutation, EcoStats, SessionCop};
 pub use stafan::StafanCounts;

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use wrt_circuit::Circuit;
-use wrt_estimate::{constant_line_faults, CopBaseline};
+use wrt_estimate::CopBaseline;
 use wrt_fault::FaultList;
 
 /// FNV-1a over the bit patterns of a weight vector — the baseline cache
@@ -61,19 +61,8 @@ impl CircuitEntry {
     /// The experiment fault set (collapsed, redundancy-filtered), built
     /// once on first use.
     pub fn experiment_faults(&self) -> &Arc<FaultList> {
-        self.experiment_faults.get_or_init(|| {
-            let checkpoints =
-                FaultList::checkpoints(&self.circuit).collapse_equivalent(&self.circuit);
-            let redundant = constant_line_faults(&self.circuit, &checkpoints, 14);
-            Arc::new(
-                checkpoints
-                    .iter()
-                    .zip(&redundant)
-                    .filter(|(_, &r)| !r)
-                    .map(|((_, f), _)| f)
-                    .collect(),
-            )
-        })
+        self.experiment_faults
+            .get_or_init(|| Arc::new(wrt_estimate::experiment_faults(&self.circuit)))
     }
 
     /// The collapsed checkpoint fault set (ATPG's working set), built

@@ -11,7 +11,7 @@
 //! `wrt::workloads::WORKLOAD_NAMES`).
 
 use wrt::prelude::*;
-use wrt_estimate::{constant_line_faults, signal_probability_bounds};
+use wrt_estimate::{constant_line_faults, signal_probability_bounds, REDUNDANCY_SUPPORT_LIMIT};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "c432ish".into());
@@ -42,7 +42,7 @@ fn main() {
     // Fault universe and redundancy proofs.
     let full = FaultList::full(&circuit);
     let collapsed = full.collapse_equivalent(&circuit);
-    let redundant = constant_line_faults(&circuit, &collapsed, 14);
+    let redundant = constant_line_faults(&circuit, &collapsed, REDUNDANCY_SUPPORT_LIMIT);
     let proven = redundant.iter().filter(|&&r| r).count();
     println!(
         "faults: {} full, {} collapsed, {proven} proven redundant",

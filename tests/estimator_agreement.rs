@@ -281,3 +281,173 @@ fn cop_exact_does_not_cover_detection_probabilities_at_stems() {
         assert_close("signal probability", p[id.index()], exact);
     }
 }
+
+// ---- The redundancy proof against the exact-enumeration oracle --------
+//
+// `constant_line_faults` screens lines with one random superblock and
+// enumerates only the survivors.  Its flags must equal the paper's
+// definition taken literally: a fault is proven redundant iff its line's
+// exact signal probability at 0.5 is 0 (stuck-at-0) or 1 (stuck-at-1),
+// and lines whose support exceeds the bound stay unproven.
+
+/// The oracle's flag for one fault: per-line exact enumeration.
+fn oracle_redundant(circuit: &Circuit, fault: Fault, max_support: usize) -> bool {
+    let driver = match fault.site {
+        FaultSite::Output(n) => n,
+        FaultSite::InputPin { gate, pin } => circuit.node(gate).fanin()[pin],
+    };
+    let probs = vec![0.5; circuit.num_inputs()];
+    match wrt::estimate::exact_signal_probability(circuit, driver, &probs, max_support) {
+        Some(p) => (p == 0.0 && !fault.stuck_value) || (p == 1.0 && fault.stuck_value),
+        None => false,
+    }
+}
+
+/// Every fault of [`FaultList::full`] plus both faults on each constant
+/// driver (which `full` leaves out as untestable by definition).
+fn faults_with_constant_lines(circuit: &Circuit) -> FaultList {
+    let mut faults: Vec<Fault> = FaultList::full(circuit).iter().map(|(_, f)| f).collect();
+    for (id, node) in circuit.iter() {
+        if matches!(node.kind(), GateKind::Const0 | GateKind::Const1) {
+            faults.extend([Fault::output(id, false), Fault::output(id, true)]);
+        }
+    }
+    FaultList::from_faults(faults)
+}
+
+/// A random reconvergent circuit with planted constant lines: `Const0` /
+/// `Const1` drivers, a 12-input AND (a line the screen almost never sees
+/// at 1, so the enumeration has to decide it), and per recipe op either a
+/// random gate over earlier nodes, a planted tautology or contradiction
+/// (`OR(x, NOT x)`, `AND(x, NOT x)`, `XOR(x, x)`, `XNOR(x, x)`) on an
+/// earlier node, or a gate with a constant side input.
+fn redundancy_circuit(
+    num_inputs: usize,
+    rare_offset: usize,
+    ops: &[(usize, usize, usize, usize)],
+) -> Circuit {
+    const KINDS: [GateKind; 8] = [
+        GateKind::And,
+        GateKind::Nand,
+        GateKind::Or,
+        GateKind::Nor,
+        GateKind::Xor,
+        GateKind::Xnor,
+        GateKind::Not,
+        GateKind::Buf,
+    ];
+    let mut b = CircuitBuilder::named("planted_constants");
+    let inputs: Vec<NodeId> = (0..num_inputs).map(|i| b.input(format!("i{i}"))).collect();
+    let mut nodes = inputs.clone();
+    let k0 = b.const0();
+    let k1 = b.const1();
+    nodes.extend([k0, k1]);
+    let rare: Vec<NodeId> = (0..12)
+        .map(|j| inputs[(rare_offset + j) % num_inputs])
+        .collect();
+    nodes.push(b.gate_auto(GateKind::And, &rare).expect("valid gate"));
+    for &(op, x, y, z) in ops {
+        let pick = |k: usize| nodes[k % nodes.len()];
+        let node = match op % 10 {
+            7 => {
+                let x = pick(x);
+                let nx = b.gate_auto(GateKind::Not, &[x]).expect("valid gate");
+                nodes.push(nx);
+                match y % 4 {
+                    0 => b.gate_auto(GateKind::Or, &[x, nx]),
+                    1 => b.gate_auto(GateKind::And, &[nx, x]),
+                    2 => b.gate_auto(GateKind::Xor, &[x, x]),
+                    _ => b.gate_auto(GateKind::Xnor, &[x, x]),
+                }
+            }
+            8 => {
+                let side = if y % 2 == 0 { k0 } else { k1 };
+                b.gate_auto(KINDS[z % 6], &[pick(x), side])
+            }
+            k => {
+                let kind = KINDS[(k + z) % KINDS.len()];
+                let fanin: Vec<NodeId> = match kind {
+                    GateKind::Not | GateKind::Buf => vec![pick(x)],
+                    _ if z % 3 == 0 => vec![pick(x), pick(y), pick(x + y + z)],
+                    _ => vec![pick(x), pick(y)],
+                };
+                b.gate_auto(kind, &fanin)
+            }
+        };
+        nodes.push(node.expect("valid gate"));
+    }
+    let gates = &nodes[num_inputs + 2..];
+    for &g in &gates[gates.len().saturating_sub(4)..] {
+        b.mark_output(g);
+    }
+    b.build().expect("valid circuit")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The screened, cone-local proof flags exactly the faults the
+    /// per-line exact oracle proves, at every support bound.
+    #[test]
+    fn redundancy_proof_matches_the_exact_oracle(
+        num_inputs in 12usize..18,
+        rare_offset in 0usize..18,
+        max_support in 0usize..16,
+        ops in proptest::collection::vec((0usize..10, 0usize..64, 0usize..64, 0usize..64), 4..40),
+    ) {
+        let circuit = redundancy_circuit(num_inputs, rare_offset, &ops);
+        let faults = faults_with_constant_lines(&circuit);
+        let (flags, enumerated) =
+            wrt::estimate::constant_line_proof(&circuit, &faults, max_support);
+        prop_assert_eq!(flags.len(), faults.len());
+        // The constant drivers never toggle, so the enumeration always runs.
+        prop_assert!(enumerated >= 2);
+        for ((_, fault), &flag) in faults.iter().zip(&flags) {
+            prop_assert_eq!(
+                flag,
+                oracle_redundant(&circuit, fault, max_support),
+                "{:?} at support bound {}",
+                fault,
+                max_support
+            );
+        }
+    }
+}
+
+#[test]
+fn a_constant_line_is_proven_exactly_up_to_the_support_bound() {
+    // t = OR(x, NOT x) with x a 12-input AND: constant 1 on 12 inputs.
+    let circuit = redundancy_circuit(12, 0, &[(7, 14, 0, 0)]);
+    let t = NodeId::from_index(circuit.num_nodes() - 1);
+    let faults = FaultList::from_faults(vec![Fault::output(t, true), Fault::output(t, false)]);
+    for (bound, proven) in [(11, false), (12, true), (13, true)] {
+        let flags = wrt::estimate::constant_line_faults(&circuit, &faults, bound);
+        assert_eq!(flags, vec![proven, false], "support bound {bound}");
+        assert_eq!(
+            flags[0],
+            oracle_redundant(&circuit, faults.as_slice()[0], bound)
+        );
+    }
+}
+
+#[test]
+fn redundancy_anchors_on_the_registry_and_tiled_circuits() {
+    // Registry circuits and tiled_10000_16 have no constant line within
+    // the experiment bound; tiled_50000_7 has exactly six.
+    let mut names: Vec<&str> = wrt::workloads::WORKLOAD_NAMES.to_vec();
+    names.extend(["tiled_10000_16", "tiled_50000_7"]);
+    for name in names {
+        let circuit = wrt::workloads::by_name(name).expect("workload builds");
+        let collapsed = FaultList::checkpoints(&circuit).collapse_equivalent(&circuit);
+        let flags = wrt::estimate::constant_line_faults(
+            &circuit,
+            &collapsed,
+            wrt::estimate::REDUNDANCY_SUPPORT_LIMIT,
+        );
+        let redundant = flags.iter().filter(|&&f| f).count();
+        let expected = if name == "tiled_50000_7" { 6 } else { 0 };
+        assert_eq!(redundant, expected, "{name}");
+        let kept = wrt::estimate::experiment_faults(&circuit);
+        assert_eq!(kept.len(), collapsed.len() - redundant, "{name}");
+    }
+}
