@@ -13,7 +13,8 @@
 //! * **Chaos** — a seeded fail-point sweep over every planted site: each
 //!   injection must end in bit-identical recovery or a structured error.
 //!   The `unrecovered` count is asserted zero here and again by
-//!   `bench_guard` on the committed artifact.
+//!   `bench_guard` on the committed artifact, and the run exits non-zero
+//!   if its seeds never chose some site of `sites::ALL`.
 //!
 //! Run with `cargo run --release -p wrt-bench --bin bench_robust`.
 //!
@@ -25,12 +26,12 @@
 //! Defaults: 32768 patterns, 4 threads, best-of-15 interleaved timing
 //! pairs, two large workload circuits, a 30-seed chaos sweep,
 //! `BENCH_robust.json` in the current directory.  `--smoke` runs a
-//! scaled-down version for CI.
+//! scaled-down version for CI (16 seeds, the fewest that choose every
+//! site).
 
 use std::time::{Duration, Instant};
 
 use wrt_circuit::Circuit;
-use wrt_estimate::{CopEngine, DegradingEngine, DetectionProbabilityEngine};
 use wrt_fault::FaultList;
 use wrt_robust::failpoint::{self, sites, FailAction};
 use wrt_robust::{Budget, BudgetExceeded, Checkpoint, CheckpointError, RunOutcome};
@@ -223,24 +224,6 @@ fn chaos_drill(seed: u64, circuit: &Circuit, faults: &FaultList) -> (String, boo
             let _ = std::fs::remove_file(&path);
             classified
         }
-        sites::ESTIMATE_ANOMALY => {
-            let probs = vec![0.5; circuit.num_inputs()];
-            let mut reference = CopEngine::new();
-            let mut wrapped = DegradingEngine::new(CopEngine::new(), CopEngine::new());
-            let mut ok = true;
-            for _ in 0..4 {
-                ok &= wrapped.estimate(circuit, faults, &probs)
-                    == reference.estimate(circuit, faults, &probs);
-            }
-            if ok && wrapped.is_degraded() {
-                Outcome::Recovered
-            } else {
-                Outcome::Unrecovered(format!(
-                    "answers identical: {ok}, degraded: {}",
-                    wrapped.is_degraded()
-                ))
-            }
-        }
         sites::SERVE_ACCEPT | sites::SERVE_SESSION | sites::SERVE_ECO_APPLY => {
             // A resident server under injection: every request must still
             // get a framed response — the fired arm surfaces as an `err`
@@ -311,7 +294,7 @@ fn main() {
         .unwrap_or(4);
     let seeds: u64 = flag(&args, "--seeds")
         .map(|v| v.parse().expect("--seeds N"))
-        .unwrap_or(if smoke { 12 } else { 30 });
+        .unwrap_or(if smoke { 16 } else { 30 });
     let out = flag(&args, "--out")
         .unwrap_or("BENCH_robust.json")
         .to_string();
@@ -354,12 +337,16 @@ fn main() {
         FaultList::checkpoints(&chaos_circuit).collapse_equivalent(&chaos_circuit);
     let (mut fired, mut recovered, mut structured) = (0u64, 0u64, 0u64);
     let mut unrecovered: Vec<String> = Vec::new();
+    let mut chosen = [false; sites::ALL.len()];
     // Injected panics are caught by the shard scaffold; silence the
     // default hook so the sweep's output is the classification, not
     // backtraces of failures that recovered as designed.
     std::panic::set_hook(Box::new(|_| {}));
     for seed in 0..seeds {
         let (site, did_fire, outcome) = chaos_drill(seed, &chaos_circuit, &chaos_faults);
+        if let Some(i) = sites::ALL.iter().position(|s| *s == site) {
+            chosen[i] = true;
+        }
         fired += u64::from(did_fire);
         match outcome {
             Outcome::Recovered => recovered += 1,
@@ -377,10 +364,19 @@ fn main() {
         unrecovered.is_empty(),
         "chaos sweep lost results: {unrecovered:?}"
     );
+    let undrilled: Vec<&str> = sites::ALL
+        .iter()
+        .zip(chosen)
+        .filter_map(|(site, was_chosen)| (!was_chosen).then_some(*site))
+        .collect();
+    if !undrilled.is_empty() {
+        eprintln!("error: the {seeds}-seed chaos sweep never chose {undrilled:?}; raise --seeds");
+        std::process::exit(1);
+    }
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"benchmark\": \"robust_overhead_and_chaos\",\n  \"note\": \"overhead_pct compares the fault-simulation driver (fault_coverage_robust, nothing armed) under a deadline plus an eval cap that cannot trip (budgeted_seconds) against the same driver under an unlimited budget (unlimited_seconds) on the identical workload; wall-clock and host-dependent, expected within noise of zero (budget check-ins happen once per 8192-pattern chunk, and the disabled fail-point fast path is one relaxed atomic load). bit_identical is the machine-independent claim: both runs' coverage equals the dense reference fault_coverage exactly. The chaos section is a seeded fail-point sweep over every planted site (worker spawn, shard merge, checkpoint write, budget check-in, estimate anomaly, serve accept/session/eco-apply; panics on worker-side sites, structured failures elsewhere): every injection must end in bit-identical recovery or a structured error. unrecovered counts silent result loss and must be zero; bench_guard re-checks it on the committed artifact.\",\n  \"patterns\": {},\n  \"threads\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ],\n  \"chaos\": {{\n    \"seeds\": {},\n    \"fired\": {},\n    \"recovered_bit_identical\": {},\n    \"structured_errors\": {},\n    \"unrecovered\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"robust_overhead_and_chaos\",\n  \"note\": \"overhead_pct compares the fault-simulation driver (fault_coverage_robust, nothing armed) under a deadline plus an eval cap that cannot trip (budgeted_seconds) against the same driver under an unlimited budget (unlimited_seconds) on the identical workload; wall-clock and host-dependent, expected within noise of zero (budget check-ins happen once per 8192-pattern chunk, and the disabled fail-point fast path is one relaxed atomic load). bit_identical is the machine-independent claim: both runs' coverage equals the dense reference fault_coverage exactly. The chaos section is a seeded fail-point sweep over every planted site (worker spawn, shard merge, checkpoint write, budget check-in, serve accept/session/eco-apply; panics on worker-side sites, structured failures elsewhere), and its seeds must choose each site at least once: every injection must end in bit-identical recovery or a structured error. unrecovered counts silent result loss and must be zero; bench_guard re-checks it on the committed artifact.\",\n  \"patterns\": {},\n  \"threads\": {},\n  \"smoke\": {},\n  \"results\": [\n{}\n  ],\n  \"chaos\": {{\n    \"seeds\": {},\n    \"fired\": {},\n    \"recovered_bit_identical\": {},\n    \"structured_errors\": {},\n    \"unrecovered\": {}\n  }}\n}}\n",
         patterns,
         threads,
         smoke,

@@ -100,8 +100,8 @@ pub trait DetectionProbabilityEngine: Send {
 ///
 /// `p`, `obs` and `pin_obs` are lookups into a consistent COP solution
 /// (the full arrays, or the overlay-or-baseline view of the incremental
-/// clients); routing every engine through this one function keeps their
-/// estimates bit-identical.
+/// clients) or into STAFAN's counted rates; routing every engine through
+/// this one function keeps the COP engines' estimates bit-identical.
 pub(crate) fn cop_fault_probability(
     circuit: &Circuit,
     fault: &Fault,

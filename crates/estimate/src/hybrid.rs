@@ -5,17 +5,19 @@
 //! inside supergates* and propagate independently between them.  This
 //! engine follows that recipe pragmatically: every signal whose input
 //! support fits a budget gets its exact probability (weighted cone
-//! enumeration); everything else falls back to the COP recurrence over
-//! the (partially corrected) fanin probabilities.  Observabilities remain
-//! COP.  The result strictly improves on plain COP wherever reconvergence
+//! enumeration); everything else falls back to the COP recurrence — the
+//! node function [`crate::signal_probabilities_cop`] itself uses — over
+//! the (partially corrected) fanin probabilities.  Observabilities and the
+//! per-fault formula remain COP's.  The result strictly improves on plain COP wherever reconvergence
 //! is local — XOR/ECC structures especially — at bounded extra cost.
 
 use wrt_circuit::{Circuit, GateKind, NodeId};
-use wrt_fault::{FaultList, FaultSite};
+use wrt_fault::FaultList;
 
-use crate::cop::observabilities_cop;
+use crate::cop::{node_probability, observabilities_cop};
 use crate::engine::DetectionProbabilityEngine;
 use crate::exact::exact_signal_probability;
+use crate::overlay::CopSolution;
 
 /// COP with exact small-support correction (a PREDICT-style estimator).
 #[derive(Debug, Clone)]
@@ -36,42 +38,22 @@ impl HybridEngine {
         assert_eq!(input_probs.len(), circuit.num_inputs());
         let mut p = vec![0.0f64; circuit.num_nodes()];
         for (id, node) in circuit.iter() {
-            p[id.index()] = match node.kind() {
-                GateKind::Input => input_probs[circuit.input_position(id).expect("pi")],
-                GateKind::Const0 => 0.0,
-                GateKind::Const1 => 1.0,
-                kind => exact_signal_probability(circuit, id, input_probs, self.support_limit)
-                    .unwrap_or_else(|| cop_step(kind, node.fanin(), &p)),
+            let exact = match node.kind() {
+                GateKind::Input | GateKind::Const0 | GateKind::Const1 => None,
+                _ => exact_signal_probability(circuit, id, input_probs, self.support_limit),
             };
+            p[id.index()] = exact.unwrap_or_else(|| {
+                node_probability(
+                    circuit,
+                    id,
+                    node.kind(),
+                    node.fanin(),
+                    &|k| input_probs[k],
+                    &|f: NodeId| p[f.index()],
+                )
+            });
         }
         p
-    }
-}
-
-/// One COP recurrence step from already-computed fanin probabilities.
-fn cop_step(kind: GateKind, fanin: &[NodeId], p: &[f64]) -> f64 {
-    match kind {
-        GateKind::And => fanin.iter().map(|f| p[f.index()]).product(),
-        GateKind::Nand => 1.0 - fanin.iter().map(|f| p[f.index()]).product::<f64>(),
-        GateKind::Or => 1.0 - fanin.iter().map(|f| 1.0 - p[f.index()]).product::<f64>(),
-        GateKind::Nor => fanin.iter().map(|f| 1.0 - p[f.index()]).product(),
-        GateKind::Xor => {
-            (1.0 - fanin
-                .iter()
-                .map(|f| 1.0 - 2.0 * p[f.index()])
-                .product::<f64>())
-                / 2.0
-        }
-        GateKind::Xnor => {
-            (1.0 + fanin
-                .iter()
-                .map(|f| 1.0 - 2.0 * p[f.index()])
-                .product::<f64>())
-                / 2.0
-        }
-        GateKind::Not => 1.0 - p[fanin[0].index()],
-        GateKind::Buf => p[fanin[0].index()],
-        GateKind::Input | GateKind::Const0 | GateKind::Const1 => unreachable!(),
     }
 }
 
@@ -84,25 +66,13 @@ impl DetectionProbabilityEngine for HybridEngine {
     ) -> Vec<f64> {
         let p = self.signal_probabilities(circuit, input_probs);
         let (obs, pin_obs) = observabilities_cop(circuit, &p);
-        faults
-            .iter()
-            .map(|(_, fault)| {
-                let (act, o) = match fault.site {
-                    FaultSite::Output(node) => {
-                        let c1 = p[node.index()];
-                        let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-                        (act, obs[node.index()])
-                    }
-                    FaultSite::InputPin { gate, pin } => {
-                        let driver = circuit.node(gate).fanin()[pin];
-                        let c1 = p[driver.index()];
-                        let act = if fault.stuck_value { 1.0 - c1 } else { c1 };
-                        (act, pin_obs[circuit.fanin_offset(gate) + pin])
-                    }
-                };
-                (act * o).clamp(0.0, 1.0)
-            })
-            .collect()
+        CopSolution {
+            weights: input_probs.to_vec(),
+            p,
+            obs,
+            pin_obs,
+        }
+        .detection_probabilities(circuit, faults)
     }
 
     fn name(&self) -> &'static str {
@@ -151,11 +121,27 @@ mod tests {
 
     #[test]
     fn budget_zero_degenerates_to_cop() {
-        let c = parse_bench("INPUT(a)\nOUTPUT(y)\nn = NOT(a)\ny = AND(a, n)\n").unwrap();
-        let engine = HybridEngine::new(0);
-        let p = engine.signal_probabilities(&c, &[0.5]);
-        let cop = signal_probabilities_cop(&c, &[0.5]);
+        // Every gate kind, with reconvergence and non-dyadic weights, so a
+        // fallback formula that is merely algebraically equal to COP's
+        // (e.g. XNOR as `(1 + Π)/2` instead of `1 − (1 − Π)/2`) shows up
+        // as a bit difference.
+        let c = parse_bench(
+            "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nOUTPUT(z)\nOUTPUT(w)\n\
+             g1 = AND(a, b)\ng2 = NAND(b, c)\ng3 = OR(c, d)\ng4 = NOR(a, d)\n\
+             g5 = XOR(g1, g2, c)\ng6 = XNOR(g3, g4, a)\ng7 = NOT(g5)\ng8 = BUF(g6)\n\
+             g9 = XNOR(b, c)\nz = AND(g7, g8, g9)\nw = XNOR(g7, d)\n",
+        )
+        .unwrap();
+        let probs = [0.3, 0.7, 0.1, 0.45];
+        let mut engine = HybridEngine::new(0);
+        let p = engine.signal_probabilities(&c, &probs);
+        let cop = signal_probabilities_cop(&c, &probs);
         assert_eq!(p, cop);
+        let faults = wrt_fault::FaultList::full(&c);
+        assert_eq!(
+            engine.estimate(&c, &faults, &probs),
+            crate::CopEngine::new().estimate(&c, &faults, &probs)
+        );
     }
 
     #[test]

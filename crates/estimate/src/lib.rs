@@ -19,6 +19,8 @@
 //! * [`CopBaseline`] / [`SessionCop`] — an immutable COP solution shared
 //!   across server sessions, with per-session what-if ECO queries that
 //!   virtually replace gate kinds;
+//! * [`HybridEngine`] — a PREDICT-style estimator: exact probabilities
+//!   for signals with small input support, COP elsewhere \[ABS86\];
 //! * [`StafanEngine`] — STAFAN-style statistical counting on a fault-free
 //!   bit-parallel sample \[AgJa84\];
 //! * [`MonteCarloEngine`] — direct PPSFP fault-simulation sampling;
@@ -38,6 +40,10 @@
 //! type, and the two incremental clients share one stamped copy-on-write
 //! overlay over it, so a weight move and a gate-kind override run
 //! through the same walk and the same node helpers as the full passes.
+//! `HybridEngine`'s COP fallback evaluates nodes through the same
+//! recurrence, and every COP-model estimator (STAFAN's counted rates
+//! included) scores a fault through one activation × observability
+//! formula.
 //!
 //! # Example
 //!
@@ -60,7 +66,6 @@
 mod bdd;
 mod cop;
 mod cutting;
-mod degrade;
 mod engine;
 mod exact;
 mod hybrid;
@@ -73,13 +78,12 @@ mod stafan;
 
 pub use bdd::{exact_signal_probabilities_bdd, BddEngine, BddManager, BddOverflow};
 pub use cop::{observabilities_cop, signal_probabilities_cop};
-pub use hybrid::HybridEngine;
 pub use cutting::{signal_probability_bounds, CuttingBounds, ProbabilityInterval};
-pub use degrade::DegradingEngine;
 pub use engine::{
     CopEngine, DetectionProbabilityEngine, ExactEngine, MonteCarloEngine, StafanEngine,
 };
 pub use exact::{exact_detection_probability, exact_signal_probability};
+pub use hybrid::HybridEngine;
 pub use incremental::{IncrementalCop, IncrementalStats};
 pub use rank::spearman;
 pub use redundancy::{

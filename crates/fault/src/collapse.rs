@@ -1,8 +1,6 @@
 //! Fault collapsing: equivalence classes and dominance reduction.
 
-use std::collections::HashMap;
-
-use wrt_circuit::{Circuit, GateKind};
+use wrt_circuit::{Circuit, GateKind, NodeId};
 
 use crate::fault::{Fault, FaultSite};
 use crate::list::{FaultId, FaultList};
@@ -37,28 +35,56 @@ use crate::list::{FaultId, FaultList};
 /// ```
 #[derive(Debug, Clone)]
 pub struct EquivalenceClasses {
-    /// Union-find parent, by fault index.
-    class_of: Vec<usize>,
-    /// Members per class root (computed at the end).
-    classes: HashMap<usize, Vec<FaultId>>,
-    faults: Vec<Fault>,
+    /// Dense class id per fault index; classes are numbered in order of
+    /// their first (smallest-id) member.
+    class_of: Vec<u32>,
+    /// CSR member lists: class `c` holds
+    /// `members[member_offsets[c]..member_offsets[c + 1]]`, ascending.
+    member_offsets: Vec<u32>,
+    members: Vec<FaultId>,
+    /// The representative (first member) fault of each class, in class
+    /// order.
+    representatives: Vec<Fault>,
 }
+
+/// Marks a fault site absent from the list in the dense site index.
+const ABSENT: u32 = u32::MAX;
 
 impl EquivalenceClasses {
     /// Computes equivalence classes of `list` over `circuit`.
     pub fn compute(circuit: &Circuit, list: &FaultList) -> Self {
         let n = list.len();
+        // Dense site index: output fault (node, v) at `2 node + v`, pin
+        // fault (gate, pin, v) at `2 (num_nodes + edge) + v` with edge
+        // `fanin_offset(gate) + pin`.  A fault listed twice maps to its
+        // last occurrence; sites off the circuit are never looked up.
+        let num_nodes = circuit.num_nodes();
+        let output_slot = |node: NodeId, v: bool| 2 * node.index() + usize::from(v);
+        let pin_slot = |gate: NodeId, pin: usize, v: bool| {
+            2 * (num_nodes + circuit.fanin_offset(gate) + pin) + usize::from(v)
+        };
+        let mut index = vec![ABSENT; 2 * (num_nodes + circuit.num_edges())];
+        for (i, fault) in list.as_slice().iter().enumerate() {
+            let slot = match fault.site {
+                FaultSite::Output(node) if node.index() < num_nodes => {
+                    output_slot(node, fault.stuck_value)
+                }
+                FaultSite::InputPin { gate, pin }
+                    if gate.index() < num_nodes && pin < circuit.fanin(gate).len() =>
+                {
+                    pin_slot(gate, pin, fault.stuck_value)
+                }
+                _ => continue,
+            };
+            index[slot] = i as u32;
+        }
+
         let mut uf = UnionFind::new(n);
-        let index: HashMap<Fault, usize> = list
-            .iter()
-            .map(|(id, f)| (f, id.index()))
-            .collect();
-        let union = |a: Fault, b: Fault, uf: &mut UnionFind| {
-            if let (Some(&ia), Some(&ib)) = (index.get(&a), index.get(&b)) {
-                uf.union(ia, ib);
+        let mut union = |a: usize, b: usize| {
+            if index[a] != ABSENT && index[b] != ABSENT {
+                uf.union(index[a] as usize, index[b] as usize);
             }
         };
-
         for (gid, node) in circuit.iter() {
             // Branch ≡ stem on fanout-free lines.  A primary output is an
             // extra observation point on the stem, so a PO driving one
@@ -67,66 +93,64 @@ impl EquivalenceClasses {
             for (pin, &driver) in node.fanin().iter().enumerate() {
                 if circuit.fanout(driver).len() == 1 && !circuit.is_output(driver) {
                     for v in [false, true] {
-                        union(
-                            Fault::input_pin(gid, pin, v),
-                            Fault::output(driver, v),
-                            &mut uf,
-                        );
+                        union(pin_slot(gid, pin, v), output_slot(driver, v));
                     }
                 }
             }
-            // Gate-local rules.
-            let pins = node.fanin().len();
-            match node.kind() {
-                GateKind::And => {
-                    for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, false), Fault::output(gid, false), &mut uf);
-                    }
+            // Gate-local rules: (pin value, equivalent output value).
+            let rules: &[(bool, bool)] = match node.kind() {
+                GateKind::And => &[(false, false)],
+                GateKind::Nand => &[(false, true)],
+                GateKind::Or => &[(true, true)],
+                GateKind::Nor => &[(true, false)],
+                GateKind::Not => &[(false, true), (true, false)],
+                GateKind::Buf => &[(false, false), (true, true)],
+                _ => &[],
+            };
+            for &(pin_value, out_value) in rules {
+                for pin in 0..node.fanin().len() {
+                    union(pin_slot(gid, pin, pin_value), output_slot(gid, out_value));
                 }
-                GateKind::Nand => {
-                    for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, false), Fault::output(gid, true), &mut uf);
-                    }
-                }
-                GateKind::Or => {
-                    for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, true), Fault::output(gid, true), &mut uf);
-                    }
-                }
-                GateKind::Nor => {
-                    for pin in 0..pins {
-                        union(Fault::input_pin(gid, pin, true), Fault::output(gid, false), &mut uf);
-                    }
-                }
-                GateKind::Not => {
-                    union(Fault::input_pin(gid, 0, false), Fault::output(gid, true), &mut uf);
-                    union(Fault::input_pin(gid, 0, true), Fault::output(gid, false), &mut uf);
-                }
-                GateKind::Buf => {
-                    union(Fault::input_pin(gid, 0, false), Fault::output(gid, false), &mut uf);
-                    union(Fault::input_pin(gid, 0, true), Fault::output(gid, true), &mut uf);
-                }
-                _ => {}
             }
         }
 
-        let mut classes: HashMap<usize, Vec<FaultId>> = HashMap::new();
-        let mut class_of = vec![0usize; n];
-        for (i, slot) in class_of.iter_mut().enumerate() {
+        // Number classes by first member, then lay members out per class.
+        let mut class_of_root = vec![ABSENT; n];
+        let mut class_of = Vec::with_capacity(n);
+        let mut member_offsets = vec![0u32];
+        let mut representatives = Vec::new();
+        for (i, fault) in list.as_slice().iter().enumerate() {
             let root = uf.find(i);
-            *slot = root;
-            classes.entry(root).or_default().push(FaultId::from_index(i));
+            if class_of_root[root] == ABSENT {
+                class_of_root[root] = representatives.len() as u32;
+                representatives.push(*fault);
+                member_offsets.push(0);
+            }
+            let class = class_of_root[root];
+            class_of.push(class);
+            member_offsets[class as usize + 1] += 1;
+        }
+        for c in 0..representatives.len() {
+            member_offsets[c + 1] += member_offsets[c];
+        }
+        let mut fill = member_offsets.clone();
+        let mut members = vec![FaultId::from_index(0); n];
+        for (i, &class) in class_of.iter().enumerate() {
+            let slot = &mut fill[class as usize];
+            members[*slot as usize] = FaultId::from_index(i);
+            *slot += 1;
         }
         EquivalenceClasses {
             class_of,
-            classes,
-            faults: list.as_slice().to_vec(),
+            member_offsets,
+            members,
+            representatives,
         }
     }
 
     /// Number of equivalence classes.
     pub fn num_classes(&self) -> usize {
-        self.classes.len()
+        self.representatives.len()
     }
 
     /// Whether two faults of the original list are equivalent.
@@ -134,26 +158,21 @@ impl EquivalenceClasses {
         self.class_of[a.index()] == self.class_of[b.index()]
     }
 
-    /// The members of the class containing `id`.
+    /// The members of the class containing `id`, in ascending id order.
     pub fn class_members(&self, id: FaultId) -> &[FaultId] {
-        &self.classes[&self.class_of[id.index()]]
+        let class = self.class_of[id.index()] as usize;
+        let (lo, hi) = (self.member_offsets[class], self.member_offsets[class + 1]);
+        &self.members[lo as usize..hi as usize]
     }
 
     /// One representative fault per class, as a new [`FaultList`].
     ///
-    /// The representative is the member with the smallest original id;
-    /// because fault lists enumerate drivers before sinks, this prefers
-    /// faults closer to the primary inputs.
+    /// The representative is the member with the smallest original id,
+    /// and the list is in ascending representative id; because fault
+    /// lists enumerate drivers before sinks, this prefers faults closer to
+    /// the primary inputs.
     pub fn representatives(&self) -> FaultList {
-        let mut reps: Vec<FaultId> = self
-            .classes
-            .values()
-            .map(|members| *members.iter().min().expect("classes are non-empty"))
-            .collect();
-        reps.sort();
-        reps.into_iter()
-            .map(|id| self.faults[id.index()])
-            .collect()
+        FaultList::from_faults(self.representatives.clone())
     }
 }
 

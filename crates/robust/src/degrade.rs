@@ -1,11 +1,10 @@
 //! The graceful-degradation ladder.
 //!
 //! When a subsystem detects an anomaly — a panicked shard, an aborted
-//! guided ATPG search, a non-finite incremental estimate — it does not
-//! abort the run.  It steps down one rung of a fixed ladder to a simpler,
-//! more conservative strategy and records the step, so the run completes
-//! (possibly slower) and the report says exactly what was degraded and
-//! why.
+//! guided ATPG search — it does not abort the run.  It steps down one
+//! rung of a fixed ladder to a simpler, more conservative strategy and
+//! records the step, so the run completes (possibly slower) and the
+//! report says exactly what was degraded and why.
 //!
 //! The rungs, per subsystem:
 //!
@@ -14,12 +13,16 @@
 //! | sim       | event-driven engine | dense engine        |
 //! | sim       | sharded worklist    | serial shard replay |
 //! | atpg      | guided PODEM        | unguided PODEM      |
-//! | estimate  | incremental COP     | stateless COP       |
 //!
-//! Every fallback preserves the bit-identity contract: the dense engine,
-//! serial replay, and stateless COP produce the same results as their
-//! preferred counterparts (that equivalence is property-tested
-//! elsewhere), so stepping down trades only speed, never correctness.
+//! Every rung is one a product path takes: the sharded fault-simulation
+//! driver requeues a poisoned shard for serial replay (on the dense
+//! engine if the first replay fails too), and the ATPG runner retries an
+//! aborted guided search unguided.  The simulation fallbacks preserve
+//! the bit-identity contract — serial replay and the dense engine
+//! produce the same results as their preferred counterparts
+//! (property-tested elsewhere) — so stepping down trades only speed,
+//! never correctness; the unguided retry runs only on faults the guided
+//! search gave up on.
 
 use std::fmt;
 
@@ -31,9 +34,6 @@ pub enum DegradeStep {
     /// Fault simulation fell back from the event-driven to the dense
     /// engine (e.g. while replaying a poisoned shard).
     EventToDense,
-    /// Detection-probability estimation fell back from the incremental
-    /// overlay engine to stateless full recomputation.
-    IncrementalToStateless,
     /// A panicked shard's fault worklist was requeued for serial replay.
     ShardRequeue,
 }
@@ -44,7 +44,6 @@ impl DegradeStep {
         match self {
             DegradeStep::GuidedToUnguided => "guided_to_unguided",
             DegradeStep::EventToDense => "event_to_dense",
-            DegradeStep::IncrementalToStateless => "incremental_to_stateless",
             DegradeStep::ShardRequeue => "shard_requeue",
         }
     }
@@ -55,9 +54,6 @@ impl fmt::Display for DegradeStep {
         match self {
             DegradeStep::GuidedToUnguided => write!(f, "guided PODEM -> unguided PODEM"),
             DegradeStep::EventToDense => write!(f, "event engine -> dense engine"),
-            DegradeStep::IncrementalToStateless => {
-                write!(f, "incremental COP -> stateless COP")
-            }
             DegradeStep::ShardRequeue => write!(f, "sharded worklist -> serial replay"),
         }
     }
@@ -152,10 +148,14 @@ mod tests {
         let mut a = Ladder::new();
         a.record(DegradeStep::GuidedToUnguided, "fault 7 aborted");
         let mut b = Ladder::new();
-        b.record(DegradeStep::IncrementalToStateless, "non-finite estimate");
+        b.record(DegradeStep::ShardRequeue, "shard 2 worker panicked");
+        b.record(DegradeStep::EventToDense, "shard 2 replay");
         a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.steps()[1].0, DegradeStep::IncrementalToStateless);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.steps()[0].0, DegradeStep::GuidedToUnguided);
+        assert_eq!(a.steps()[1].0, DegradeStep::ShardRequeue);
+        assert_eq!(a.steps()[2].0, DegradeStep::EventToDense);
+        assert_eq!(a.steps()[2].1, "shard 2 replay");
     }
 
     #[test]
@@ -163,11 +163,11 @@ mod tests {
         for step in [
             DegradeStep::GuidedToUnguided,
             DegradeStep::EventToDense,
-            DegradeStep::IncrementalToStateless,
             DegradeStep::ShardRequeue,
         ] {
             let name = step.name();
             assert!(name.chars().all(|c| c.is_ascii_lowercase() || c == '_'));
+            assert!(!name.is_empty());
         }
     }
 

@@ -5,7 +5,7 @@ use wrt::prelude::*;
 use wrt_circuit::CircuitBuilder;
 
 fn arb_circuit() -> impl Strategy<Value = wrt::circuit::Circuit> {
-    let kinds = prop::sample::select(vec![
+    arb_circuit_of(vec![
         GateKind::And,
         GateKind::Nand,
         GateKind::Or,
@@ -13,7 +13,12 @@ fn arb_circuit() -> impl Strategy<Value = wrt::circuit::Circuit> {
         GateKind::Xor,
         GateKind::Xnor,
         GateKind::Not,
-    ]);
+    ])
+}
+
+/// Random 6-input circuits over `kinds`; NOT and BUF take one fanin.
+fn arb_circuit_of(kinds: Vec<GateKind>) -> impl Strategy<Value = wrt::circuit::Circuit> {
+    let kinds = prop::sample::select(kinds);
     proptest::collection::vec((kinds, proptest::collection::vec(0usize..64, 1..3)), 4..20)
         .prop_map(|specs| {
             let mut b = CircuitBuilder::named("rand");
@@ -22,7 +27,7 @@ fn arb_circuit() -> impl Strategy<Value = wrt::circuit::Circuit> {
                 ids.push(b.input(format!("i{i}")));
             }
             for (kind, picks) in specs {
-                let fanin: Vec<_> = if kind == GateKind::Not {
+                let fanin: Vec<_> = if matches!(kind, GateKind::Not | GateKind::Buf) {
                     vec![ids[picks[0] % ids.len()]]
                 } else {
                     picks.iter().map(|&p| ids[p % ids.len()]).collect()
@@ -33,6 +38,55 @@ fn arb_circuit() -> impl Strategy<Value = wrt::circuit::Circuit> {
             b.mark_output(ids[7.min(ids.len() - 1)]);
             b.build().expect("valid circuit")
         })
+}
+
+/// Naive reference for structural equivalence collapsing: the local
+/// rules written out as explicit fault pairs, each side looked up by a
+/// linear search of the list, merged by a plain union-find that keeps the
+/// smaller id as the root.  Returns each fault's class label: the
+/// smallest id in its class.
+fn reference_class_labels(circuit: &wrt::circuit::Circuit, list: &FaultList) -> Vec<usize> {
+    let mut pairs = Vec::new();
+    for (gate, node) in circuit.iter() {
+        for (pin, &driver) in node.fanin().iter().enumerate() {
+            if circuit.fanout(driver).len() == 1 && !circuit.is_output(driver) {
+                for v in [false, true] {
+                    pairs.push((Fault::input_pin(gate, pin, v), Fault::output(driver, v)));
+                }
+            }
+        }
+        let rules: Vec<(bool, bool)> = match node.kind() {
+            GateKind::And => vec![(false, false)],
+            GateKind::Nand => vec![(false, true)],
+            GateKind::Or => vec![(true, true)],
+            GateKind::Nor => vec![(true, false)],
+            GateKind::Not => vec![(false, true), (true, false)],
+            GateKind::Buf => vec![(false, false), (true, true)],
+            _ => vec![],
+        };
+        for (pin_value, out_value) in rules {
+            for pin in 0..node.fanin().len() {
+                pairs.push((
+                    Fault::input_pin(gate, pin, pin_value),
+                    Fault::output(gate, out_value),
+                ));
+            }
+        }
+    }
+    let mut parent: Vec<usize> = (0..list.len()).collect();
+    let root = |parent: &[usize], mut x: usize| {
+        while parent[x] != x {
+            x = parent[x];
+        }
+        x
+    };
+    for (a, b) in pairs {
+        if let (Some(a), Some(b)) = (list.id_of(a), list.id_of(b)) {
+            let (ra, rb) = (root(&parent, a.index()), root(&parent, b.index()));
+            parent[ra.max(rb)] = ra.min(rb);
+        }
+    }
+    (0..list.len()).map(|i| root(&parent, i)).collect()
 }
 
 /// Per-fault detection words over the full 2^6 input space.
@@ -99,6 +153,50 @@ proptest! {
                     full.fault(other).describe(&circuit)
                 );
             }
+        }
+    }
+
+    /// The dense-index collapse agrees with the naive reference on every
+    /// accessor, over the full and the checkpoint fault lists of random
+    /// circuits using every gate kind.
+    #[test]
+    fn equivalence_classes_match_a_naive_union_find(
+        circuit in arb_circuit_of(vec![
+            GateKind::And,
+            GateKind::Nand,
+            GateKind::Or,
+            GateKind::Nor,
+            GateKind::Xor,
+            GateKind::Xnor,
+            GateKind::Not,
+            GateKind::Buf,
+        ]),
+    ) {
+        use wrt::fault::{EquivalenceClasses, FaultId};
+        for list in [FaultList::full(&circuit), FaultList::checkpoints(&circuit)] {
+            let classes = EquivalenceClasses::compute(&circuit, &list);
+            let labels = reference_class_labels(&circuit, &list);
+            let roots: Vec<usize> = (0..list.len()).filter(|&i| labels[i] == i).collect();
+            prop_assert_eq!(classes.num_classes(), roots.len());
+            for i in 0..list.len() {
+                let id = FaultId::from_index(i);
+                for j in 0..list.len() {
+                    prop_assert_eq!(
+                        classes.equivalent(id, FaultId::from_index(j)),
+                        labels[i] == labels[j]
+                    );
+                }
+                let members: Vec<FaultId> = (0..list.len())
+                    .filter(|&j| labels[j] == labels[i])
+                    .map(FaultId::from_index)
+                    .collect();
+                prop_assert_eq!(classes.class_members(id), members.as_slice());
+            }
+            let representatives: Vec<Fault> = roots
+                .iter()
+                .map(|&i| list.fault(FaultId::from_index(i)))
+                .collect();
+            prop_assert_eq!(classes.representatives(), FaultList::from_faults(representatives));
         }
     }
 
